@@ -190,7 +190,11 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
                 labels[node] = a
     # each accepted merge had strictly positive gain, so modularity is
     # non-decreasing; the accumulated gains must match a fresh evaluation
-    assert abs(q_running - weighted_modularity(graph, weights, labels)) < 1e-9
+    q_final = weighted_modularity(graph, weights, labels)
+    if not abs(q_running - q_final) < 1e-9:
+        raise ContractError(
+            f"accumulated modularity {q_running!r} drifted from its evaluation {q_final!r}"
+        )
     return Partition(_densify(labels))
 
 

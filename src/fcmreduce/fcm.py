@@ -10,6 +10,7 @@ falls below a tolerance) or an iteration cap is hit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,19 +18,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 TRANSFER_FUNCTIONS = ("tanh", "sigmoid")
-
-
-def apply_transfer(x: np.ndarray, transfer: str) -> np.ndarray:
-    """Apply the named transfer and rectify into [0, 1].
-
-    "tanh" maps to (-1, 1) and is clamped below at 0 so node values keep
-    their defined range; "sigmoid" already lands in (0, 1).
-    """
-    if transfer == "tanh":
-        return np.clip(np.tanh(x), 0.0, 1.0)
-    if transfer == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    raise ConfigError(f"unknown transfer function {transfer!r}; valid: {TRANSFER_FUNCTIONS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +112,53 @@ class SimulationSettings:
             )
 
 
-def step(fcm: Fcm, activation, settings: SimulationSettings) -> np.ndarray:
-    """One synchronous update of every concept. Does not mutate its input."""
-    a = np.asarray(activation, dtype=np.float64)
+def _update(wt: np.ndarray, a: np.ndarray, transfer: str, self_memory: bool) -> np.ndarray:
+    """One synchronous update; wt[r, s] is the weight of the edge s -> r.
+
+    Each concept's inputs are summed in source order (a running sum, not a
+    matrix product) and squashed with the scalar math.tanh / math.exp,
+    whose rounding differs from numpy's on some inputs, so every caller
+    gets the same floats. "tanh" is clamped below at 0 so node values keep
+    their [0, 1] range; "sigmoid" already lands there.
+    """
+    # the sum starts from +0.0, so an all-negative-zero row sums to +0.0
+    x = 0.0 + np.cumsum(wt * a, axis=1)[:, -1]
+    if self_memory:
+        x = x + a
+    if transfer == "tanh":
+        return np.array([max(math.tanh(v), 0.0) for v in x.tolist()])
+    return np.array([1.0 / (1.0 + math.exp(-v)) for v in x.tolist()])
+
+
+def settle(wt: np.ndarray, a: np.ndarray, stab: int, settings: SimulationSettings):
+    """Iterate _update() from a until concept stab stabilizes or the cap hits.
+
+    The one simulation kernel: simulate() and the interaction harness both
+    call it. Returns (final_activation, iterations_taken, stabilized); a is
+    not mutated.
+    """
+    transfer, self_memory = settings.transfer, settings.self_memory
+    tol = settings.stabilization_tolerance
+    for iteration in range(1, settings.max_iterations + 1):
+        nxt = _update(wt, a, transfer, self_memory)
+        delta = abs(nxt[stab] - a[stab])
+        a = nxt
+        if delta < tol:
+            return a, iteration, True
+    return a, settings.max_iterations, False
+
+
+def _checked_activation(fcm: Fcm, activation) -> np.ndarray:
+    a = np.array(activation, dtype=np.float64)
     if a.shape != (fcm.n,):
         raise ContractError(f"activation length {a.shape} does not match {fcm.n} concepts")
-    x = fcm.weights.T @ a
-    if settings.self_memory:
-        x = x + a
-    return apply_transfer(x, settings.transfer)
+    return a
+
+
+def step(fcm: Fcm, activation, settings: SimulationSettings) -> np.ndarray:
+    """One synchronous update of every concept. Does not mutate its input."""
+    a = _checked_activation(fcm, activation)
+    return _update(fcm.weights.T, a, settings.transfer, settings.self_memory)
 
 
 def simulate(fcm: Fcm, activation, settings: SimulationSettings):
@@ -143,16 +169,7 @@ def simulate(fcm: Fcm, activation, settings: SimulationSettings):
     two consecutive iterations.
     """
     si = fcm.index_of(settings.stabilization_concept)
-    a = np.array(activation, dtype=np.float64)
-    if a.shape != (fcm.n,):
-        raise ContractError(f"activation length {a.shape} does not match {fcm.n} concepts")
-    for iteration in range(1, settings.max_iterations + 1):
-        nxt = step(fcm, a, settings)
-        delta = abs(nxt[si] - a[si])
-        a = nxt
-        if delta < settings.stabilization_tolerance:
-            return a, iteration, True
-    return a, settings.max_iterations, False
+    return settle(fcm.weights.T, _checked_activation(fcm, activation), si, settings)
 
 
 # ---------------------------------------------------------------------------

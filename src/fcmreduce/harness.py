@@ -9,30 +9,24 @@ is the population mean of a designated concept after the final round.
 
 Runs are embarrassingly parallel: run i draws its own RNG stream from
 (master_seed, "run", i), so results are independent of execution schedule.
-The inner loop is JIT-compiled when numba is available; a pure-Python
-fallback with identical semantics is kept for environments without it and
-as a reference implementation for tests.
+The run loop works on packed per-agent arrays and settles each FCM with
+fcm.settle(), the kernel simulate() uses, so it equals the slow
+interact()-based reference bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .fcm import SimulationSettings, simulate
+from .fcm import SimulationSettings, settle, simulate
 from .population import Agent, SocialGraph
 from .seeding import seed_sequence
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,9 @@ class OutputDistribution:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or len(s) == 0:
             raise ContractError("a distribution needs at least one sample")
-        if np.any(s < 0.0) or np.any(s > 1.0):
-            raise ContractError("output samples must lie in [0, 1]")
+        # NaN fails both comparisons, so it is rejected with the out-of-range
+        if not np.all((s >= 0.0) & (s <= 1.0)):
+            raise ContractError("output samples must be finite and lie in [0, 1]")
         self.samples = s
 
 
@@ -95,134 +90,64 @@ def interact(a: Agent, b: Agent, channel: str, settings: SimulationSettings):
     return (updated, b) if va < vb else (a, updated)
 
 
-# ---------------------------------------------------------------------------
-# Compiled inner loop. _settle_core/_run_core are written in the numba
-# subset; the same source runs as plain Python when numba is missing.
-
-def _settle_core(wt, act, row, c, stab, tol, max_iter, transfer_id, self_mem, buf):
-    for _ in range(max_iter):
-        prev = act[row, stab]
-        for r in range(c):
-            x = 0.0
-            for s in range(c):
-                x += wt[r, s] * act[row, s]
-            if self_mem:
-                x += act[row, r]
-            if transfer_id == 0:
-                v = math.tanh(x)
-            else:
-                v = 1.0 / (1.0 + math.exp(-x))
-            if v < 0.0:
-                v = 0.0
-            elif v > 1.0:
-                v = 1.0
-            buf[r] = v
-        for r in range(c):
-            act[row, r] = buf[r]
-        if abs(act[row, stab] - prev) < tol:
-            break
-
-
-def _run_core(
-    wts, act, ncs, stab_idx, tol, max_iter, transfer_id, self_mem,
-    tie_i, tie_j, chan_i, chan_j, orders,
-):
-    buf = np.empty(act.shape[1])
-    for rnd in range(orders.shape[0]):
-        for s in range(orders.shape[1]):
-            t = orders[rnd, s]
-            i = tie_i[t]
-            j = tie_j[t]
-            vi = act[i, chan_i[t]]
-            vj = act[j, chan_j[t]]
-            if vi == vj:
-                continue
-            if vi < vj:
-                act[i, chan_i[t]] = vj
-                _settle(
-                    wts[i], act, i, ncs[i], stab_idx[i], tol, max_iter,
-                    transfer_id, self_mem, buf,
-                )
-            else:
-                act[j, chan_j[t]] = vi
-                _settle(
-                    wts[j], act, j, ncs[j], stab_idx[j], tol, max_iter,
-                    transfer_id, self_mem, buf,
-                )
-
-
-if _njit is not None:
-    _settle = _njit(cache=True, nogil=True)(_settle_core)
-    _run = _njit(cache=True, nogil=True)(_run_core)
-else:  # pragma: no cover
-    _settle = _settle_core
-    _run = _run_core
-
-
 class _ModelArrays:
-    """Population packed into flat arrays for the compiled loop."""
+    """Population packed into per-agent arrays and tie index tuples for the
+    run loop."""
 
     def __init__(self, agents: list[Agent], graph: SocialGraph, spec: RunSpec):
         if graph.channels is None and graph.ties:
             raise ConfigError("run needs a graph with assigned channels")
+        if not graph.nodes:
+            raise ConfigError("run needs at least one agent")
         by_id = {a.id: a for a in agents}
         missing = [v for v in graph.nodes if v not in by_id]
         if missing:
             raise ConfigError(f"no agent for graph nodes {missing[:5]}")
         # the model's population is the graph's node set
-        self.ids = sorted(graph.nodes)
-        pos = {v: p for p, v in enumerate(self.ids)}
-        n = len(self.ids)
-        max_c = max(by_id[v].fcm.n for v in self.ids)
-        self.wts = np.zeros((n, max_c, max_c))
-        self.act0 = np.zeros((n, max_c))
-        self.ncs = np.zeros(n, dtype=np.int64)
-        self.stab_idx = np.zeros(n, dtype=np.int64)
-        self.out_idx = np.zeros(n, dtype=np.int64)
-        for v in self.ids:
-            fcm = by_id[v].fcm
-            p = pos[v]
-            c = fcm.n
-            self.wts[p, :c, :c] = fcm.weights.T
-            self.act0[p, :c] = fcm.activation
-            self.ncs[p] = c
+        ids = sorted(graph.nodes)
+        pos = {v: p for p, v in enumerate(ids)}
+        fcms = [by_id[v].fcm for v in ids]
+        self.wts = [np.ascontiguousarray(fcm.weights.T) for fcm in fcms]
+        self.act0 = [fcm.activation for fcm in fcms]
+        self.stab_idx = []
+        self.out_idx = []
+        for v, fcm in zip(ids, fcms):
             try:
-                self.stab_idx[p] = fcm.index_of(spec.settings.stabilization_concept)
-                self.out_idx[p] = fcm.index_of(spec.output_concept)
+                self.stab_idx.append(fcm.index_of(spec.settings.stabilization_concept))
+                self.out_idx.append(fcm.index_of(spec.output_concept))
             except ConfigError as exc:
                 raise ConfigError(f"agent {v}: {exc}") from exc
-        ties = list(graph.ties)
-        self.tie_i = np.array([pos[i] for i, _ in ties], dtype=np.int64)
-        self.tie_j = np.array([pos[j] for _, j in ties], dtype=np.int64)
-        self.chan_i = np.zeros(len(ties), dtype=np.int64)
-        self.chan_j = np.zeros(len(ties), dtype=np.int64)
-        for t, (i, j) in enumerate(ties):
+        # (i, j, channel index in i, channel index in j) per tie
+        self.ties = []
+        for i, j in graph.ties:
             label = graph.channels[(i, j)]
             try:
-                self.chan_i[t] = by_id[i].fcm.index_of(label)
-                self.chan_j[t] = by_id[j].fcm.index_of(label)
+                self.ties.append(
+                    (pos[i], pos[j], by_id[i].fcm.index_of(label), by_id[j].fcm.index_of(label))
+                )
             except ConfigError as exc:
                 raise ConfigError(f"tie ({i}, {j}): {exc}") from exc
-        self.transfer_id = 0 if spec.settings.transfer == "tanh" else 1
         self.spec = spec
 
     def run(self, run_seed) -> float:
         rng = np.random.default_rng(run_seed)
-        m = len(self.tie_i)
-        orders = np.empty((self.spec.rounds, m), dtype=np.int64)
-        for rnd in range(self.spec.rounds):
-            orders[rnd] = rng.permutation(m)
-        act = self.act0.copy()
-        if m > 0:
-            _run(
-                self.wts, act, self.ncs, self.stab_idx,
-                self.spec.settings.stabilization_tolerance,
-                self.spec.settings.max_iterations,
-                self.transfer_id, self.spec.settings.self_memory,
-                self.tie_i, self.tie_j, self.chan_i, self.chan_j, orders,
-            )
-        out = act[np.arange(len(self.ids)), self.out_idx]
-        return float(out.mean())
+        settings = self.spec.settings
+        ties = self.ties
+        act = [a.copy() for a in self.act0]
+        for _ in range(self.spec.rounds):
+            for t in rng.permutation(len(ties)).tolist():
+                i, j, ci, cj = ties[t]
+                vi = act[i][ci]
+                vj = act[j][cj]
+                if vi == vj:
+                    continue
+                if vi < vj:
+                    low, idx, value = i, ci, vj
+                else:
+                    low, idx, value = j, cj, vi
+                act[low][idx] = value
+                act[low] = settle(self.wts[low], act[low], self.stab_idx[low], settings)[0]
+        return float(np.mean([a[o] for a, o in zip(act, self.out_idx)]))
 
 
 def run_once(agents: list[Agent], graph: SocialGraph, spec: RunSpec, run_seed) -> float:
@@ -232,7 +157,7 @@ def run_once(agents: list[Agent], graph: SocialGraph, spec: RunSpec, run_seed) -
 
 def run_once_reference(agents: list[Agent], graph: SocialGraph, spec: RunSpec, run_seed) -> float:
     """Same semantics as run_once, composed from the public interact() and
-    simulate() operations. Slow; used to cross-check the compiled loop."""
+    simulate() operations. Slow; used to cross-check the packed run loop."""
     if graph.channels is None and graph.ties:
         raise ConfigError("run needs a graph with assigned channels")
     by_id = {a.id: a for a in agents}
@@ -305,7 +230,13 @@ def import_distribution(path) -> OutputDistribution:
         for row in reader:
             if not row:
                 continue
-            samples.append(float(row[1]))
+            try:
+                samples.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
     if not samples:
         raise ConfigError(f"distribution file {path} holds no samples")
-    return OutputDistribution(np.array(samples))
+    try:
+        return OutputDistribution(np.array(samples))
+    except ContractError as exc:
+        raise ConfigError(f"distribution file {path}: {exc}") from exc

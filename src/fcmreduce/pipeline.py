@@ -438,7 +438,11 @@ def stage_weigh_files(cfg: PipelineConfig, out_dir) -> None:
 def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
     agents = _load_agents(out_dir)
     graph = _load_graph(out_dir, len(agents))
-    weights, _metric = import_tie_weights(os.path.join(out_dir, "ties.csv"))
+    weights, metric = import_tie_weights(os.path.join(out_dir, "ties.csv"))
+    if weights and metric != cfg.metric:
+        raise ConfigError(
+            f"ties.csv was weighed with metric {metric!r} but the config asks for {cfg.metric!r}"
+        )
     partition = stage_cluster(cfg, graph, weights)
     export_partition(partition, os.path.join(out_dir, "partition.csv"))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .errors import MetricError
+from .errors import ConfigError, MetricError
 from .fcm import Fcm
 from .population import Agent, SocialGraph
 from .seeding import int_seed
@@ -466,9 +466,10 @@ def export_tie_weights(weights: dict, metric: str, path) -> None:
 
 
 def import_tie_weights(path) -> tuple[dict, str]:
-    """Read a tie-weight CSV; returns (weights map, metric name)."""
+    """Read a tie-weight CSV; returns (weights map, metric name). The metric
+    is "" for a file without rows."""
     weights = {}
-    metric = ""
+    metrics = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -477,6 +478,12 @@ def import_tie_weights(path) -> tuple[dict, str]:
         for row in reader:
             if not row:
                 continue
-            i, j, metric = int(row[0]), int(row[1]), row[2]
-            weights[(i, j) if i < j else (j, i)] = TieWeight(float(row[3]))
-    return weights, metric
+            try:
+                i, j, metric, d = int(row[0]), int(row[1]), row[2], float(row[3])
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"malformed tie-weight row {row!r} in {path}") from exc
+            metrics.add(metric)
+            weights[(i, j) if i < j else (j, i)] = TieWeight(d)
+    if len(metrics) > 1:
+        raise ConfigError(f"tie-weight file {path} mixes metrics {sorted(metrics)}")
+    return weights, metrics.pop() if metrics else ""

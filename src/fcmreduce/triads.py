@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import MetricError
 
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
-
 #: The 16 directed triad classes in conventional order.
 TRIAD_NAMES = (
     "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -71,7 +66,7 @@ def triad_census(adjacency: np.ndarray) -> np.ndarray:
     return np.bincount(CODE_TO_CLASS[code], minlength=16)
 
 
-def _swap_core(adj, edges, pairs):
+def _swap(adj, edges, pairs):
     """Attempt one directed edge swap per row of pairs, in place.
 
     A pick of edges (a->b, c->d) is rewired to (a->d, c->b) unless that
@@ -95,12 +90,6 @@ def _swap_core(adj, edges, pairs):
         adj[c, b] = True
         edges[e1, 1] = d
         edges[e2, 1] = b
-
-
-if _njit is not None:
-    _swap = _njit(cache=True)(_swap_core)
-else:  # pragma: no cover
-    _swap = _swap_core
 
 
 def degree_preserving_randomization(

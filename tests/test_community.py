@@ -195,6 +195,15 @@ class TestAgglomerative:
         assert p.assignment[2] != p.assignment[3]
         assert p.count == 3
 
+    def test_modularity_drift_raises_contract_error(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        import fcmreduce.community as community
+
+        graph, weights = two_cliques(3)
+        monkeypatch.setattr(community, "weighted_modularity", lambda *args: -1.0)
+        with pytest.raises(ContractError, match="drifted"):
+            agglomerative_modularity(graph, weights)
+
 
 class TestStats:
     def test_mixed_sizes(self):

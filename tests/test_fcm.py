@@ -140,6 +140,32 @@ class TestStep:
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_in_order_scalar_loop(self, seed):
+        # step() must give exactly the floats of a scalar loop that sums each
+        # concept's inputs in source order from 0.0 and squashes with math.*;
+        # the harness's stored outputs depend on that arithmetic
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        w = np.where(rng.random((n, n)) < 0.7, rng.uniform(-1, 1, (n, n)), 0.0)
+        a = np.where(rng.random(n) < 0.8, rng.uniform(0, 1, n), 0.0)
+        f = Fcm(tuple(f"C{i}" for i in range(n)), w, a)
+        for transfer in ("tanh", "sigmoid"):
+            for self_memory in (True, False):
+                s = SimulationSettings("C0", transfer=transfer, self_memory=self_memory)
+                expected = []
+                for r in range(n):
+                    x = 0.0
+                    for src in range(n):
+                        x += w[src, r] * a[src]
+                    if self_memory:
+                        x += a[r]
+                    v = math.tanh(x) if transfer == "tanh" else 1.0 / (1.0 + math.exp(-x))
+                    expected.append(min(max(v, 0.0), 1.0))
+                assert step(f, a, s).tolist() == expected
+
+
 class TestSimulate:
     def test_zero_activation_stabilizes_at_iteration_one(self, rng):
         w = rng.uniform(-1, 1, size=(4, 4))

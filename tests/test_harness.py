@@ -129,6 +129,41 @@ class TestRunOnce:
                 run_once_reference(agents, graph, spec, seed), abs=1e-12
             )
 
+    @pytest.mark.parametrize("transfer", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("self_memory", [True, False])
+    def test_kernel_equals_reference_exactly(self, transfer, self_memory):
+        # run_once and run_once_reference settle through the same kernel, so
+        # they agree bit for bit, not just within a tolerance
+        rng = np.random.default_rng(11)
+
+        def agent(agent_id, n):
+            labels = ("Shared",) + tuple(f"P{agent_id}_{k}" for k in range(n - 1))
+            w = rng.uniform(-1, 1, (n, n))
+            np.fill_diagonal(w, 0.0)
+            return Agent(agent_id, Fcm(labels, w, rng.uniform(0, 1, n)))
+
+        ties = ((0, 1), (1, 2), (2, 3), (0, 3))
+        heterogeneous = (
+            [agent(0, 3), agent(1, 5), agent(2, 4), agent(3, 6)],
+            SocialGraph((0, 1, 2, 3), ties, {t: "Shared" for t in ties}),
+            "Shared",
+        )
+        cmaes = make_agents(generate_cmaes_style(12, seed=4))
+        graph = build_topology(TopologySpec("small_world", n=12, k=4, beta=0.3, seed=5))
+        cmaes_model = (cmaes, assign_channels(graph, cmaes, seed=6), "Awareness")
+        for agents, graph, concept in (heterogeneous, cmaes_model):
+            settings = SimulationSettings(concept, transfer=transfer, self_memory=self_memory)
+            spec = RunSpec(concept, settings, rounds=4, repeats=1)
+            for seed in range(4):
+                assert run_once(agents, graph, spec, seed) == run_once_reference(
+                    agents, graph, spec, seed
+                )
+
+    def test_empty_graph_is_config_error(self):
+        spec = RunSpec("Out", SimulationSettings("Out"), rounds=1, repeats=1)
+        with pytest.raises(ConfigError, match="at least one agent"):
+            run_once([], SocialGraph((), ()), spec, 0)
+
     def test_missing_output_concept(self):
         agents = [zero_weight_agent(0, 0.2, label="A"), zero_weight_agent(1, 0.3, label="B")]
         graph = SocialGraph((0, 1), ())
@@ -198,6 +233,11 @@ class TestSpecValidation:
         with pytest.raises(ContractError):
             OutputDistribution(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_distribution_rejects_non_finite(self, bad):
+        with pytest.raises(ContractError):
+            OutputDistribution(np.array([0.5, bad]))
+
 
 class TestDistributionIO:
     def test_round_trip_with_sidecar(self, tmp_path):
@@ -213,3 +253,10 @@ class TestDistributionIO:
         meta = json.loads(sidecar.read_text())
         assert meta["master_seed"] == 9
         assert meta["settings"]["stabilization_concept"] == "Awareness"
+
+    @pytest.mark.parametrize("row", ["0", "0,abc", "0,nan", "0,1.5"])
+    def test_malformed_row_is_config_error(self, tmp_path, row):
+        path = tmp_path / "dist.csv"
+        path.write_text(f"run_index,output_value\n0,0.5\n{row}\n")
+        with pytest.raises(ConfigError):
+            import_distribution(path)

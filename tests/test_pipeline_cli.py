@@ -196,6 +196,28 @@ class TestCliErrors:
         assert code == 1
         assert "population file not found" in capsys.readouterr().err
 
+    def test_compare_on_short_distribution_row_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        short = tmp_path / "short.csv"
+        short.write_text("run_index,output_value\n0\n")
+        code = main(
+            ["compare", "--config", config_path, "--out", str(out), "--simplified", str(short)]
+        )
+        assert code == 1
+        assert "malformed distribution row" in capsys.readouterr().err
+
+    def test_cluster_rejects_ties_of_another_metric(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = str(tmp_path / "staged")
+        assert main(["generate", "--config", config_path, "--out", staged]) == 0
+        assert main(["weigh", "--config", config_path, "--out", staged,
+                     "--metric", "density"]) == 0
+        assert main(["cluster", "--config", config_path, "--out", staged]) == 1
+        assert "'density'" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(staged, "partition.csv"))
+
     def test_cli_metric_override_lands_in_report(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "o"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmreduce.errors import MetricError
+from fcmreduce.errors import ConfigError, MetricError
 from fcmreduce.fcm import Fcm
 from fcmreduce.population import (
     SocialGraph,
@@ -519,6 +519,26 @@ class TestWeighTies:
         for tie in weights:
             assert loaded[tie].dissimilarity == weights[tie].dissimilarity
             assert loaded[tie].similarity == weights[tie].similarity
+
+    HEADER = "i,j,metric,dissimilarity,similarity\n"
+
+    @pytest.mark.parametrize("row", ["0", "1,2", "0,abc,density,0.5,0.6", "0,1,density,abc,0.6"])
+    def test_malformed_tie_row_is_config_error(self, tmp_path, row):
+        path = tmp_path / "ties.csv"
+        path.write_text(self.HEADER + row + "\n")
+        with pytest.raises(ConfigError):
+            import_tie_weights(path)
+
+    def test_mixed_metrics_rejected(self, tmp_path):
+        path = tmp_path / "ties.csv"
+        path.write_text(self.HEADER + "0,1,density,0.5,0.6\n1,2,tsp,0.5,0.6\n")
+        with pytest.raises(ConfigError, match="mixes metrics"):
+            import_tie_weights(path)
+
+    def test_header_only_file_has_no_metric(self, tmp_path):
+        path = tmp_path / "ties.csv"
+        path.write_text(self.HEADER)
+        assert import_tie_weights(path) == ({}, "")
 
 
 def pair_distance(kind, a, b, cfg, seed=0):
