@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .population import SocialGraph
 from .seeding import rng_for
 
@@ -221,13 +221,22 @@ def export_partition(p: Partition, path) -> None:
 
 def import_partition(path) -> Partition:
     assignment = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["agent_id", "community_id"]:
-            raise ContractError(f"unexpected partition header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            assignment[int(row[0])] = int(row[1])
-    return Partition(assignment)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["agent_id", "community_id"]:
+                raise ConfigError(f"unexpected partition header {header!r} in {path}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    assignment[int(row[0])] = int(row[1])
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"malformed partition row {row!r} in {path}") from exc
+    except FileNotFoundError:
+        raise ConfigError(f"partition file not found: {path}") from None
+    try:
+        return Partition(assignment)
+    except ContractError as exc:
+        raise ConfigError(f"partition file {path}: {exc}") from exc

@@ -231,8 +231,16 @@ def make_agents(fcms: list[Fcm]) -> list[Agent]:
 # Population file I/O: a JSON array of FCM objects.
 
 def export_population(fcms: list[Fcm], path) -> None:
+    """Write one FCM object per line. Each record is encoded on its own, so
+    the whole array is never held as one string or run through the
+    pure-Python indenting encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([fcm_to_dict(f) for f in fcms], fh, indent=1, sort_keys=True)
+        fh.write("[\n")
+        for idx, f in enumerate(fcms):
+            if idx:
+                fh.write(",\n")
+            fh.write(json.dumps(fcm_to_dict(f), sort_keys=True))
+        fh.write("\n]\n")
 
 
 def import_population(path) -> list[Fcm]:

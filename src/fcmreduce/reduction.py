@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .community import Partition
-from .errors import ChannelError, ContractError
+from .errors import ChannelError, ConfigError, ContractError
 from .population import Agent, SocialGraph
 from .seeding import rng_for
 
@@ -117,5 +117,24 @@ def export_provenance(model: ReducedModel, path) -> None:
 
 
 def import_provenance(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read provenance.json; each community entry must carry an integer
+    representative and a list of integer members."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            provenance = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"provenance file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"provenance file {path} is not valid JSON: {exc}") from exc
+    communities = provenance.get("communities") if isinstance(provenance, dict) else None
+    if not isinstance(communities, dict):
+        raise ConfigError(f"provenance file {path} has no communities mapping")
+    for comm, entry in communities.items():
+        if not (
+            isinstance(entry, dict)
+            and type(entry.get("representative")) is int
+            and isinstance(entry.get("members"), list)
+            and all(type(m) is int for m in entry["members"])
+        ):
+            raise ConfigError(f"provenance file {path}: malformed community {comm!r}")
+    return provenance

@@ -47,65 +47,74 @@ def _triple_indices(n: int):
 
 def triad_census(adjacency: np.ndarray) -> np.ndarray:
     """Count node triples per triad class. adjacency is a boolean matrix
-    whose diagonal is ignored; needs at least 3 nodes."""
+    whose diagonal is ignored, giving shape (16,), or a stack of k such
+    matrices, giving shape (k, 16); needs at least 3 nodes."""
     adj = np.asarray(adjacency, dtype=bool)
-    n = adj.shape[0]
-    if adj.shape != (n, n):
-        raise MetricError("adjacency must be square")
+    if adj.ndim not in (2, 3) or adj.shape[-2] != adj.shape[-1]:
+        raise MetricError("adjacency must be square, or a stack of square matrices")
+    n = adj.shape[-1]
     if n < 3:
         raise MetricError(f"triad census needs >= 3 nodes, got {n}")
     i, j, k = _triple_indices(n)
     code = (
-        adj[i, j].astype(np.int64)
-        + 2 * adj[j, i]
-        + 4 * adj[i, k]
-        + 8 * adj[k, i]
-        + 16 * adj[j, k]
-        + 32 * adj[k, j]
+        adj[..., i, j].astype(np.int64)
+        + 2 * adj[..., j, i]
+        + 4 * adj[..., i, k]
+        + 8 * adj[..., k, i]
+        + 16 * adj[..., j, k]
+        + 32 * adj[..., k, j]
     )
-    return np.bincount(CODE_TO_CLASS[code], minlength=16)
-
-
-def _swap(adj, edges, pairs):
-    """Attempt one directed edge swap per row of pairs, in place.
-
-    A pick of edges (a->b, c->d) is rewired to (a->d, c->b) unless that
-    would create a self-loop or a duplicate arc; failed attempts leave the
-    graph unchanged but still count. In- and out-degrees are invariant.
-    """
-    for t in range(pairs.shape[0]):
-        e1 = pairs[t, 0]
-        e2 = pairs[t, 1]
-        a = edges[e1, 0]
-        b = edges[e1, 1]
-        c = edges[e2, 0]
-        d = edges[e2, 1]
-        if a == d or c == b:
-            continue
-        if adj[a, d] or adj[c, b]:
-            continue
-        adj[a, b] = False
-        adj[c, d] = False
-        adj[a, d] = True
-        adj[c, b] = True
-        edges[e1, 1] = d
-        edges[e2, 1] = b
+    classes = CODE_TO_CLASS[code]
+    if adj.ndim == 2:
+        return np.bincount(classes, minlength=16)
+    # one bincount over the stack: graph g's classes land in bins 16g..16g+15
+    graphs = len(adj)
+    classes += 16 * np.arange(graphs)[:, None]
+    return np.bincount(classes.ravel(), minlength=16 * graphs).reshape(graphs, 16)
 
 
 def degree_preserving_randomization(
     adjacency: np.ndarray, swaps_per_edge: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Randomized copy of adjacency via swaps_per_edge * |E| attempted
-    directed edge swaps."""
+    directed edge swaps.
+
+    A pick of edges (a->b, c->d) is rewired to (a->d, c->b) unless that
+    would create a self-loop or a duplicate arc; failed attempts leave the
+    graph unchanged but still count. In- and out-degrees are invariant.
+    """
     adj = np.ascontiguousarray(adjacency, dtype=bool).copy()
     np.fill_diagonal(adj, False)
-    edges = np.argwhere(adj).astype(np.int64)
+    edges = np.argwhere(adj)
     m = len(edges)
     if m == 0:
         return adj
-    attempts = swaps_per_edge * m
-    pairs = rng.integers(0, m, size=(attempts, 2), dtype=np.int64)
-    _swap(adj, edges, pairs)
+    pairs = rng.integers(0, m, size=(swaps_per_edge * m, 2), dtype=np.int64)
+    # The loop runs on plain Python lists: present is the flat adjacency, dst
+    # each edge's current target. A swap only moves targets, so each pick's
+    # source row offset is fixed and computed up front. A True diagonal makes
+    # the self-loop tests (a == d, c == b) part of the duplicate-arc test;
+    # no swap ever clears it, since a->b and c->d are never self-loops.
+    cols = adj.shape[1]
+    np.fill_diagonal(adj, True)
+    present = adj.ravel().tolist()
+    dst = edges[:, 1].tolist()
+    rows = (edges[:, 0] * cols)[pairs]
+    for e1, e2, a, c in zip(
+        pairs[:, 0].tolist(), pairs[:, 1].tolist(), rows[:, 0].tolist(), rows[:, 1].tolist()
+    ):
+        b = dst[e1]
+        d = dst[e2]
+        ad = a + d
+        cb = c + b
+        if present[ad] or present[cb]:
+            continue
+        present[a + b] = present[c + d] = False
+        present[ad] = present[cb] = True
+        dst[e1] = d
+        dst[e2] = b
+    adj = np.array(present, dtype=bool).reshape(adj.shape)
+    np.fill_diagonal(adj, False)
     return adj
 
 
@@ -124,10 +133,10 @@ def triad_significance_profile(
     if rng is None:
         rng = np.random.default_rng(0)
     observed = triad_census(adjacency).astype(np.float64)
-    ensemble = np.empty((ensemble_size, 16))
+    randomized = np.empty((ensemble_size, *np.shape(adjacency)), dtype=bool)
     for e in range(ensemble_size):
-        randomized = degree_preserving_randomization(adjacency, swaps_per_edge, rng)
-        ensemble[e] = triad_census(randomized)
+        randomized[e] = degree_preserving_randomization(adjacency, swaps_per_edge, rng)
+    ensemble = triad_census(randomized).astype(np.float64)
     mean = ensemble.mean(axis=0)
     std = ensemble.std(axis=0)
     z = np.zeros(16)

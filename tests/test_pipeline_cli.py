@@ -208,6 +208,45 @@ class TestCliErrors:
         assert code == 1
         assert "malformed distribution row" in capsys.readouterr().err
 
+    def test_compare_on_malformed_partition_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for text, message in (
+            ("agent_id,community_id\n0\n", "malformed partition row"),
+            ("agent_id,community_id\n0,x\n", "malformed partition row"),
+            ("agent_id,community_id\n0,1\n", "dense"),
+            ("a,b\n0,0\n", "unexpected partition header"),
+        ):
+            (out / "partition.csv").write_text(text)
+            assert main(["compare", "--config", config_path, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        os.remove(out / "partition.csv")
+        assert main(["compare", "--config", config_path, "--out", str(out)]) == 1
+        assert "partition file not found" in capsys.readouterr().err
+
+    def test_simulate_reduced_on_malformed_provenance_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        provenance = out / "provenance.json"
+        text = provenance.read_text()
+        for bad, message in (
+            (text[: len(text) // 2], "not valid JSON"),
+            ('{"redrawn_channels": []}', "no communities mapping"),
+            ('{"communities": {"0": {"members": [0]}}}', "malformed community"),
+        ):
+            provenance.write_text(bad)
+            code = main(["simulate", "--config", config_path, "--out", str(out),
+                         "--model", "reduced"])
+            assert code == 1
+            assert message in capsys.readouterr().err
+        os.remove(provenance)
+        assert main(["compare", "--config", config_path, "--out", str(out)]) == 1
+        assert "provenance file not found" in capsys.readouterr().err
+
     def test_cluster_rejects_ties_of_another_metric(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         staged = str(tmp_path / "staged")

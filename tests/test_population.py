@@ -169,6 +169,24 @@ class TestPopulationIO:
         with pytest.raises(ConfigError, match="not found"):
             import_population(tmp_path / "nope.json")
 
+    def test_indented_file_imports_equal(self, tmp_path):
+        # files written with json.dump(..., indent=1) before the writer
+        # streamed one record per line still import, and both forms hold
+        # the same records
+        import json
+
+        from fcmreduce.fcm import fcm_to_dict
+
+        fcms = generate_cmaes_style(4, seed=3)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps([fcm_to_dict(f) for f in fcms], indent=1, sort_keys=True))
+        export_population(fcms, new)
+        assert json.loads(new.read_text()) == json.loads(old.read_text())
+        for x, y in zip(import_population(old), import_population(new)):
+            assert x.concepts == y.concepts
+            assert np.array_equal(x.weights, y.weights)
+            assert np.array_equal(x.activation, y.activation)
+
     def test_single_fcm_file(self, tmp_path):
         path = tmp_path / "one.json"
         export_population(generate_cmaes_style(1, seed=1), path)

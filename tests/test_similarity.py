@@ -226,6 +226,58 @@ class TestTriadCensus:
         nx_census = nx.triadic_census(nx.from_numpy_array(adj, create_using=nx.DiGraph))
         assert {name: int(c) for name, c in zip(TRIAD_NAMES, census)} == nx_census
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_stack_equals_per_graph_census(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        stack = rng.random((int(rng.integers(1, 6)), n, n)) < rng.uniform(0.0, 1.0)
+        census = triad_census(stack)
+        assert census.shape == (len(stack), 16)
+        for adj, row in zip(stack, census):
+            assert np.array_equal(row, triad_census(adj))
+            np.fill_diagonal(adj, False)
+            nx_census = nx.triadic_census(nx.from_numpy_array(adj, create_using=nx.DiGraph))
+            assert {name: int(c) for name, c in zip(TRIAD_NAMES, row)} == nx_census
+
+    def test_empty_stack(self):
+        assert triad_census(np.zeros((0, 4, 4), dtype=bool)).shape == (0, 16)
+
+    def test_non_square_rejected(self):
+        for shape in ((3, 4), (2, 3, 4), (4,), (1, 1, 4, 4)):
+            with pytest.raises(MetricError):
+                triad_census(np.zeros(shape, dtype=bool))
+
+
+def _scalar_swap_randomization(adjacency, swaps_per_edge, rng):
+    """The numpy-scalar edge-swap loop the list loop replaced, kept as the
+    oracle for degree_preserving_randomization."""
+    adj = np.ascontiguousarray(adjacency, dtype=bool).copy()
+    np.fill_diagonal(adj, False)
+    edges = np.argwhere(adj).astype(np.int64)
+    m = len(edges)
+    if m == 0:
+        return adj
+    pairs = rng.integers(0, m, size=(swaps_per_edge * m, 2), dtype=np.int64)
+    for t in range(pairs.shape[0]):
+        e1 = pairs[t, 0]
+        e2 = pairs[t, 1]
+        a = edges[e1, 0]
+        b = edges[e1, 1]
+        c = edges[e2, 0]
+        d = edges[e2, 1]
+        if a == d or c == b:
+            continue
+        if adj[a, d] or adj[c, b]:
+            continue
+        adj[a, b] = False
+        adj[c, d] = False
+        adj[a, d] = True
+        adj[c, b] = True
+        edges[e1, 1] = d
+        edges[e2, 1] = b
+    return adj
+
 
 class TestTsp:
     def test_complete_digraph_swap_invariant_all_z_zero(self):
@@ -273,6 +325,28 @@ class TestTsp:
             assert np.array_equal(adj.sum(0), randomized.sum(0))
             assert np.array_equal(adj.sum(1), randomized.sum(1))
             assert not np.any(np.diag(randomized))
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_randomization_equals_scalar_loop(self, n, density, swaps, diagonal, seed):
+        # same adjacency and same generator state as the replaced loop, from
+        # empty to complete digraphs, with or without a True diagonal
+        from fcmreduce.triads import degree_preserving_randomization
+
+        adj = np.random.default_rng(seed).random((n, n)) < density
+        np.fill_diagonal(adj, diagonal)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        randomized = degree_preserving_randomization(adj, swaps, rng)
+        assert randomized.dtype == bool
+        assert np.array_equal(randomized, _scalar_swap_randomization(adj, swaps, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert np.diag(adj).tolist() == [diagonal] * n
 
 
 class TestJaccard:
