@@ -193,21 +193,22 @@ def fcm_to_dict(fcm: Fcm) -> dict:
 def fcm_from_dict(data: dict) -> Fcm:
     try:
         concepts = list(data["concepts"])
-        edges = data.get("edges", [])
-        activation_map = data.get("activation", {})
-    except (TypeError, KeyError) as exc:
+        index = {c: i for i, c in enumerate(concepts)}
+        edges = list(data.get("edges", []))
+        activation_items = list(data.get("activation", {}).items())
+    except (TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"malformed FCM object: {exc}") from exc
-    if len(set(concepts)) != len(concepts):
+    if len(index) != len(concepts):
         raise ConfigError("duplicate concept label in FCM object")
-    index = {c: i for i, c in enumerate(concepts)}
     n = len(concepts)
     weights = np.zeros((n, n))
     for e in edges:
         try:
             s, t, w = e["source"], e["target"], float(e["weight"])
-        except (TypeError, KeyError, ValueError) as exc:
+            known = s in index and t in index
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed edge record {e!r}") from exc
-        if s not in index or t not in index:
+        if not known:
             raise ConfigError(f"edge {s!r} -> {t!r} references an unknown concept")
         if abs(w) > 1.0:
             raise ConfigError(f"edge {s!r} -> {t!r} has weight {w} outside [-1, 1]")
@@ -215,10 +216,13 @@ def fcm_from_dict(data: dict) -> Fcm:
             raise ConfigError(f"edge {s!r} -> {t!r} listed twice")
         weights[index[s], index[t]] = w
     activation = np.zeros(n)
-    for label, value in activation_map.items():
+    for label, value in activation_items:
         if label not in index:
             raise ConfigError(f"activation references unknown concept {label!r}")
-        activation[index[label]] = float(value)
+        try:
+            activation[index[label]] = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"activation of {label!r} is not a number: {value!r}") from exc
     try:
         return Fcm(tuple(concepts), weights, activation)
     except ContractError as exc:

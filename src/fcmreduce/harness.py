@@ -222,18 +222,21 @@ def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_p
 
 def import_distribution(path) -> OutputDistribution:
     samples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["run_index", "output_value"]:
-            raise ConfigError(f"unexpected distribution header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                samples.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["run_index", "output_value"]:
+                raise ConfigError(f"unexpected distribution header {header!r} in {path}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    samples.append(float(row[1]))
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
+    except FileNotFoundError:
+        raise ConfigError(f"distribution file not found: {path}") from None
     if not samples:
         raise ConfigError(f"distribution file {path} holds no samples")
     try:

@@ -443,6 +443,8 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
         raise ConfigError(
             f"ties.csv was weighed with metric {metric!r} but the config asks for {cfg.metric!r}"
         )
+    if set(weights) != set(graph.ties):
+        raise ConfigError("ties.csv does not weigh exactly the ties of topology.csv")
     partition = stage_cluster(cfg, graph, weights)
     export_partition(partition, os.path.join(out_dir, "partition.csv"))
 

@@ -344,4 +344,7 @@ def import_topology(path, nodes) -> SocialGraph:
         raise ConfigError(f"topology file not found: {path}") from None
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"malformed topology row in {path}: {exc}") from exc
-    return SocialGraph(tuple(nodes), tuple(ties), channels or None)
+    try:
+        return SocialGraph(tuple(nodes), tuple(ties), channels or None)
+    except ContractError as exc:
+        raise ConfigError(f"topology file {path}: {exc}") from exc

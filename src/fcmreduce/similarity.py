@@ -1,10 +1,12 @@
 """The 11 FCM comparison measures and per-tie similarity weighting.
 
-Each measure produces a dissimilarity d >= 0 (0 means indistinguishable
-under that measure); ties carry similarity exp(-d) so unbounded measures
-(the KL family) still map into (0, 1]. Structural measures (density, R/T,
-clustering, triads, centrality) run on a thresholded unweighted view of the
-map because fully connected FCMs would otherwise make them degenerate.
+Each measure is one MEASURES entry: a feature that summarizes one agent's
+map and a compare that turns two features into a dissimilarity d >= 0 (0
+means indistinguishable under that measure). Ties carry similarity exp(-d)
+so unbounded measures (the KL family) still map into (0, 1]. Structural
+measures (density, R/T, clustering, triads, centrality) run on a
+thresholded unweighted view of the map because fully connected FCMs would
+otherwise make them degenerate.
 """
 
 from __future__ import annotations
@@ -21,21 +23,6 @@ from .fcm import Fcm
 from .population import Agent, SocialGraph
 from .seeding import int_seed
 from .triads import triad_significance_profile
-
-#: Registry of the 11 tie-weighting measures.
-METRIC_KINDS = (
-    "concept_count",
-    "density",
-    "rt_ratio",
-    "clustering",
-    "tsp",
-    "jaccard_edges",
-    "ks_edges",
-    "kl_edges",
-    "kl_nodes",
-    "centrality_cosine",
-    "compare_graphs",
-)
 
 CENTRALITY_KINDS = ("degree", "betweenness", "closeness")
 
@@ -116,23 +103,13 @@ class MetricConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scalar structural measures
-
-def concept_count_distance(a: Fcm, b: Fcm) -> float:
-    """|n_A - n_B| / (n_A + n_B); 0 for equal counts, tends to 1 as the gap
-    grows."""
-    return abs(a.n - b.n) / (a.n + b.n)
-
+# Per-map structural summaries
 
 def density(f: Fcm, view: StructuralView) -> float:
     """Present arcs over the |V|(|V|-1) possible ones."""
     if f.n < 2:
         raise MetricError("density is undefined for a single-concept FCM")
     return float(view.adjacency(f).sum()) / (f.n * (f.n - 1))
-
-
-def density_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    return abs(density(a, view) - density(b, view))
 
 
 def rt_ratio(f: Fcm, view: StructuralView) -> float:
@@ -150,11 +127,6 @@ def rt_ratio(f: Fcm, view: StructuralView) -> float:
     return (receivers + 1) / (transmitters + 1)
 
 
-def rt_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    ra, rb = rt_ratio(a, view), rt_ratio(b, view)
-    return abs(ra - rb) / (ra + rb)
-
-
 def clustering_coefficient(f: Fcm, view: StructuralView) -> float:
     """Mean over nodes of (directed arcs among the node's undirected
     neighborhood) / (|N|(|N|-1)); nodes with fewer than 2 neighbors score 0."""
@@ -170,13 +142,6 @@ def clustering_coefficient(f: Fcm, view: StructuralView) -> float:
     return float(coeffs.mean())
 
 
-def clustering_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    return abs(clustering_coefficient(a, view) - clustering_coefficient(b, view))
-
-
-# ---------------------------------------------------------------------------
-# Triad significance profiles
-
 def triad_profile(
     f: Fcm,
     view: StructuralView,
@@ -191,6 +156,29 @@ def triad_profile(
     return triad_significance_profile(view.adjacency(f), ensemble_size, swaps_per_edge, rng)
 
 
+def _centrality_map(f: Fcm, kind: str, view: StructuralView) -> dict:
+    adj = view.adjacency(f)
+    if kind == "degree":
+        totals = adj.sum(axis=0) + adj.sum(axis=1)
+        return {label: float(totals[i]) for i, label in enumerate(f.concepts)}
+    g = nx.from_numpy_array(adj.astype(np.int8), create_using=nx.DiGraph)
+    if kind == "betweenness":
+        values = nx.betweenness_centrality(g)
+    else:
+        values = nx.closeness_centrality(g)
+    return {label: float(values[i]) for i, label in enumerate(f.concepts)}
+
+
+def _edge_weights(f: Fcm) -> np.ndarray:
+    w = f.weights[f.weights != 0.0]
+    if len(w) == 0:
+        raise MetricError("edge-weight measures need at least one edge per FCM")
+    return w
+
+
+# ---------------------------------------------------------------------------
+# Sample statistics
+
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 and nv == 0.0:
@@ -199,40 +187,6 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     # rounding can push |cos| a hair past 1, which would make (1-cos)/2 < 0
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def tsp_distance(
-    a: Fcm,
-    b: Fcm,
-    view: StructuralView,
-    ensemble_size: int = 20,
-    swaps_per_edge: int = 10,
-    seed: int = 0,
-) -> float:
-    """(1 - cos(profile_a, profile_b)) / 2, both profiles drawn with the
-    same seed so identical graphs land at distance 0."""
-    pa = triad_profile(a, view, ensemble_size, swaps_per_edge, seed)
-    pb = triad_profile(b, view, ensemble_size, swaps_per_edge, seed)
-    return (1.0 - _cosine(pa, pb)) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Edge-multiset measures
-
-def _edge_map(f: Fcm) -> dict:
-    return {(s, t): w for s, t, w in f.edges()}
-
-
-def jaccard_edge_distance(a: Fcm, b: Fcm) -> float:
-    """Weighted Jaccard distance 1 - sum(min)/sum(max) over the union of
-    labeled edges, using |weight| as the (positive) entry."""
-    ea, eb = _edge_map(a), _edge_map(b)
-    keys = set(ea) | set(eb)
-    if not keys:
-        raise MetricError("weighted Jaccard is undefined for two edgeless FCMs")
-    s_min = sum(min(abs(ea.get(k, 0.0)), abs(eb.get(k, 0.0))) for k in keys)
-    s_max = sum(max(abs(ea.get(k, 0.0)), abs(eb.get(k, 0.0))) for k in keys)
-    return 1.0 - s_min / s_max
 
 
 def ks_statistic(x, y) -> float:
@@ -247,20 +201,6 @@ def ks_statistic(x, y) -> float:
     cdf_y = np.searchsorted(y, pooled, side="right") / len(y)
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
-
-def _edge_weights(f: Fcm) -> np.ndarray:
-    return f.weights[f.weights != 0.0]
-
-
-def ks_edge_distance(a: Fcm, b: Fcm) -> float:
-    wa, wb = _edge_weights(a), _edge_weights(b)
-    if len(wa) == 0 or len(wb) == 0:
-        raise MetricError("KS over edge weights needs at least one edge per FCM")
-    return ks_statistic(wa, wb)
-
-
-# ---------------------------------------------------------------------------
-# KL divergences over discretized samples
 
 def kl_from_counts(p_counts, q_counts, alpha: float) -> float:
     """D(P || Q) in nats after adding alpha to every bin and renormalizing.
@@ -285,74 +225,86 @@ def kl_from_samples(p_samples, q_samples, bin_edges, alpha: float) -> float:
     return kl_from_counts(p_counts, q_counts, alpha)
 
 
-def node_kl_divergence(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    """One-sided D(a || b) over initial activation values."""
-    return kl_from_samples(a.activation, b.activation, disc.node_edges, disc.alpha)
+# ---------------------------------------------------------------------------
+# Features: feature(fcm, cfg, seed) summarizes one agent's map
+
+def _tsp_profile(f: Fcm, cfg: MetricConfig, seed: int) -> np.ndarray:
+    # triad_profile is resolved when called, so wrapping the module
+    # attribute (as a profiler does) sees every profile drawn.
+    return triad_profile(f, cfg.view, cfg.tsp_ensemble, cfg.tsp_swaps_per_edge, seed)
 
 
-def edge_kl_divergence(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    """One-sided D(a || b) over signed edge weights."""
-    wa, wb = _edge_weights(a), _edge_weights(b)
-    if len(wa) == 0 or len(wb) == 0:
-        raise MetricError("KL over edge weights needs at least one edge per FCM")
-    return kl_from_samples(wa, wb, disc.edge_edges, disc.alpha)
+def _edge_histogram(f: Fcm, cfg: MetricConfig, seed: int) -> np.ndarray:
+    return np.histogram(_edge_weights(f), bins=cfg.discretization.edge_edges)[0]
 
 
-def node_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    """Symmetrized (D(a||b) + D(b||a)) / 2 so ties stay undirected."""
-    return (node_kl_divergence(a, b, disc) + node_kl_divergence(b, a, disc)) / 2.0
-
-
-def edge_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    return (edge_kl_divergence(a, b, disc) + edge_kl_divergence(b, a, disc)) / 2.0
+def _node_histogram(f: Fcm, cfg: MetricConfig, seed: int) -> np.ndarray:
+    return np.histogram(f.activation, bins=cfg.discretization.node_edges)[0]
 
 
 # ---------------------------------------------------------------------------
-# Centrality rankings
+# Comparisons: compare(x, y, cfg) turns two features into a dissimilarity
 
-def _centrality_map(f: Fcm, kind: str, view: StructuralView) -> dict:
-    adj = view.adjacency(f)
-    if kind == "degree":
-        totals = adj.sum(axis=0) + adj.sum(axis=1)
-        return {label: float(totals[i]) for i, label in enumerate(f.concepts)}
-    g = nx.from_numpy_array(adj.astype(np.int8), create_using=nx.DiGraph)
-    if kind == "betweenness":
-        values = nx.betweenness_centrality(g)
-    else:
-        values = nx.closeness_centrality(g)
-    return {label: float(values[i]) for i, label in enumerate(f.concepts)}
+def _relative_gap(x, y, cfg: MetricConfig) -> float:
+    """|x - y| / (x + y); 0 for equal values, tends to 1 as the gap grows."""
+    return abs(x - y) / (x + y)
 
 
-def centrality_cosine_distance(a: Fcm, b: Fcm, kind: str, view: StructuralView) -> float:
-    """(1 - cos) / 2 between the two centrality rankings, aligned on the
-    union of concept labels (absent labels contribute 0)."""
-    if kind not in CENTRALITY_KINDS:
-        raise MetricError(f"unknown centrality kind {kind!r}; valid: {CENTRALITY_KINDS}")
-    ca = _centrality_map(a, kind, view)
-    cb = _centrality_map(b, kind, view)
+def _abs_gap(x, y, cfg: MetricConfig) -> float:
+    return abs(x - y)
+
+
+def _cosine_gap(u, v, cfg: MetricConfig) -> float:
+    """(1 - cos(u, v)) / 2, in [0, 1]."""
+    return (1.0 - _cosine(u, v)) / 2.0
+
+
+def _symmetric_kl(p, q, cfg: MetricConfig) -> float:
+    """(D(p||q) + D(q||p)) / 2 over histogram counts, so ties stay undirected."""
+    alpha = cfg.discretization.alpha
+    return (kl_from_counts(p, q, alpha) + kl_from_counts(q, p, alpha)) / 2.0
+
+
+def _centrality_gap(ca: dict, cb: dict, cfg: MetricConfig) -> float:
+    """Cosine gap between two centrality rankings aligned on the union of
+    concept labels (absent labels contribute 0)."""
     labels = sorted(set(ca) | set(cb))
     va = np.array([ca.get(l, 0.0) for l in labels])
     vb = np.array([cb.get(l, 0.0) for l in labels])
     if np.linalg.norm(va) == 0.0 or np.linalg.norm(vb) == 0.0:
-        raise MetricError(f"{kind} centrality vector has zero norm; cosine undefined")
-    return (1.0 - _cosine(va, vb)) / 2.0
+        raise MetricError(f"{cfg.centrality} centrality vector has zero norm; cosine undefined")
+    return _cosine_gap(va, vb, cfg)
 
 
-# ---------------------------------------------------------------------------
-# Whole-matrix comparison
+def _aligned_weights(a: Fcm, b: Fcm) -> list[np.ndarray]:
+    """Both weight matrices over the sorted union of the two maps' labels; a
+    label one map lacks has zero rows and columns there."""
+    labels = sorted(set(a.concepts) | set(b.concepts))
+    index = {l: k for k, l in enumerate(labels)}
+    aligned = []
+    for f in (a, b):
+        w = np.zeros((len(labels), len(labels)))
+        rows = [index[l] for l in f.concepts]
+        w[np.ix_(rows, rows)] = f.weights
+        aligned.append(w)
+    return aligned
 
-def compare_graphs_distance(a: Fcm, b: Fcm) -> float:
+
+def _jaccard_gap(a: Fcm, b: Fcm, cfg: MetricConfig) -> float:
+    """Weighted Jaccard distance 1 - sum(min)/sum(max) of the label-aligned
+    |weights|. The sums run in label order, so the result is the same in
+    every process."""
+    wa, wb = (np.abs(w) for w in _aligned_weights(a, b))
+    s_max = float(np.maximum(wa, wb).sum())
+    if s_max == 0.0:
+        raise MetricError("weighted Jaccard is undefined for two edgeless FCMs")
+    return 1.0 - float(np.minimum(wa, wb).sum()) / s_max
+
+
+def _frobenius_gap(a: Fcm, b: Fcm, cfg: MetricConfig) -> float:
     """Frobenius norm of the label-aligned weight difference, normalized by
     the sum of the two matrices' norms (0/0 defined as 0)."""
-    labels = sorted(set(a.concepts) | set(b.concepts))
-    index = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    wa = np.zeros((n, n))
-    wb = np.zeros((n, n))
-    for s, t, w in a.edges():
-        wa[index[s], index[t]] = w
-    for s, t, w in b.edges():
-        wb[index[s], index[t]] = w
+    wa, wb = _aligned_weights(a, b)
     denom = np.linalg.norm(wa) + np.linalg.norm(wb)
     if denom == 0.0:
         return 0.0
@@ -360,77 +312,101 @@ def compare_graphs_distance(a: Fcm, b: Fcm) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The registry
+
+#: The 11 tie-weighting measures: name -> (feature, compare). A tie's
+#: dissimilarity is compare(feature(fcm_i, cfg, seed_i), feature(fcm_j, cfg,
+#: seed_j), cfg); only tsp reads the seed.
+MEASURES = {
+    "concept_count": (lambda f, cfg, seed: f.n, _relative_gap),
+    "density": (lambda f, cfg, seed: density(f, cfg.view), _abs_gap),
+    "rt_ratio": (lambda f, cfg, seed: rt_ratio(f, cfg.view), _relative_gap),
+    "clustering": (lambda f, cfg, seed: clustering_coefficient(f, cfg.view), _abs_gap),
+    "tsp": (_tsp_profile, _cosine_gap),
+    "jaccard_edges": (lambda f, cfg, seed: f, _jaccard_gap),
+    "ks_edges": (lambda f, cfg, seed: _edge_weights(f), lambda x, y, cfg: ks_statistic(x, y)),
+    "kl_edges": (_edge_histogram, _symmetric_kl),
+    "kl_nodes": (_node_histogram, _symmetric_kl),
+    "centrality_cosine": (
+        lambda f, cfg, seed: _centrality_map(f, cfg.centrality, cfg.view),
+        _centrality_gap,
+    ),
+    "compare_graphs": (lambda f, cfg, seed: f, _frobenius_gap),
+}
+
+METRIC_KINDS = tuple(MEASURES)
+
+
+def _measure(metric: str):
+    if metric not in MEASURES:
+        raise MetricError(f"unknown metric kind {metric!r}; valid: {METRIC_KINDS}")
+    return MEASURES[metric]
+
+
+def distance(
+    metric: str, a: Fcm, b: Fcm, config: MetricConfig | None = None, seed: int = 0
+) -> float:
+    """Dissimilarity of two maps under one measure. Both features are drawn
+    with the same seed, so identical maps land at distance 0."""
+    feature, compare = _measure(metric)
+    cfg = config or MetricConfig()
+    return compare(feature(a, cfg, seed), feature(b, cfg, seed), cfg)
+
+
+def concept_count_distance(a: Fcm, b: Fcm) -> float:
+    return distance("concept_count", a, b)
+
+
+def density_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
+    return distance("density", a, b, MetricConfig(view=view))
+
+
+def rt_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
+    return distance("rt_ratio", a, b, MetricConfig(view=view))
+
+
+def clustering_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
+    return distance("clustering", a, b, MetricConfig(view=view))
+
+
+def tsp_distance(
+    a: Fcm,
+    b: Fcm,
+    view: StructuralView,
+    ensemble_size: int = 20,
+    swaps_per_edge: int = 10,
+    seed: int = 0,
+) -> float:
+    return distance("tsp", a, b, MetricConfig(view, tsp_ensemble=ensemble_size,
+                                              tsp_swaps_per_edge=swaps_per_edge), seed)
+
+
+def jaccard_edge_distance(a: Fcm, b: Fcm) -> float:
+    return distance("jaccard_edges", a, b)
+
+
+def ks_edge_distance(a: Fcm, b: Fcm) -> float:
+    return distance("ks_edges", a, b)
+
+
+def edge_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
+    return distance("kl_edges", a, b, MetricConfig(discretization=disc))
+
+
+def node_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
+    return distance("kl_nodes", a, b, MetricConfig(discretization=disc))
+
+
+def centrality_cosine_distance(a: Fcm, b: Fcm, kind: str, view: StructuralView) -> float:
+    return distance("centrality_cosine", a, b, MetricConfig(view=view, centrality=kind))
+
+
+def compare_graphs_distance(a: Fcm, b: Fcm) -> float:
+    return distance("compare_graphs", a, b)
+
+
+# ---------------------------------------------------------------------------
 # Tie weighting
-
-def _pair_function(kind: str, agents_by_id: dict, cfg: MetricConfig):
-    """Dissimilarity function over agent ids, with per-agent features cached
-    so each FCM is summarized once no matter how many ties touch it."""
-    view, disc = cfg.view, cfg.discretization
-    cache: dict = {}
-
-    def cached(agent_id, build):
-        if agent_id not in cache:
-            cache[agent_id] = build(agents_by_id[agent_id].fcm, agent_id)
-        return cache[agent_id]
-
-    if kind == "concept_count":
-        return lambda i, j: concept_count_distance(agents_by_id[i].fcm, agents_by_id[j].fcm)
-    if kind == "density":
-        feat = lambda f, _i: density(f, view)
-        return lambda i, j: abs(cached(i, feat) - cached(j, feat))
-    if kind == "rt_ratio":
-        feat = lambda f, _i: rt_ratio(f, view)
-
-        def rt_pair(i, j):
-            ra, rb = cached(i, feat), cached(j, feat)
-            return abs(ra - rb) / (ra + rb)
-
-        return rt_pair
-    if kind == "clustering":
-        feat = lambda f, _i: clustering_coefficient(f, view)
-        return lambda i, j: abs(cached(i, feat) - cached(j, feat))
-    if kind == "tsp":
-        # Profiles are seeded by agent id, not by evaluation order, so
-        # parallel tie weighting stays schedule-independent.
-        feat = lambda f, i: triad_profile(
-            f, view, cfg.tsp_ensemble, cfg.tsp_swaps_per_edge, int_seed(cfg.seed, "tsp", i)
-        )
-        return lambda i, j: (1.0 - _cosine(cached(i, feat), cached(j, feat))) / 2.0
-    if kind == "jaccard_edges":
-        return lambda i, j: jaccard_edge_distance(agents_by_id[i].fcm, agents_by_id[j].fcm)
-    if kind == "ks_edges":
-        feat = lambda f, _i: np.sort(_edge_weights(f))
-
-        def ks_pair(i, j):
-            wa, wb = cached(i, feat), cached(j, feat)
-            if len(wa) == 0 or len(wb) == 0:
-                raise MetricError("KS over edge weights needs at least one edge per FCM")
-            return ks_statistic(wa, wb)
-
-        return ks_pair
-    if kind in ("kl_edges", "kl_nodes"):
-        if kind == "kl_nodes":
-            feat = lambda f, _i: np.histogram(f.activation, bins=disc.node_edges)[0]
-        else:
-            def feat(f, _i):
-                w = _edge_weights(f)
-                if len(w) == 0:
-                    raise MetricError("KL over edge weights needs at least one edge per FCM")
-                return np.histogram(w, bins=disc.edge_edges)[0]
-
-        def kl_pair(i, j):
-            pa, pb = cached(i, feat), cached(j, feat)
-            return (kl_from_counts(pa, pb, disc.alpha) + kl_from_counts(pb, pa, disc.alpha)) / 2.0
-
-        return kl_pair
-    if kind == "centrality_cosine":
-        return lambda i, j: centrality_cosine_distance(
-            agents_by_id[i].fcm, agents_by_id[j].fcm, cfg.centrality, view
-        )
-    if kind == "compare_graphs":
-        return lambda i, j: compare_graphs_distance(agents_by_id[i].fcm, agents_by_id[j].fcm)
-    raise MetricError(f"unknown metric kind {kind!r}; valid: {METRIC_KINDS}")
-
 
 def weigh_ties(
     agents: list[Agent],
@@ -439,16 +415,25 @@ def weigh_ties(
     config: MetricConfig | None = None,
 ) -> dict:
     """Weight of every existing tie under the chosen measure: a map
-    (i, j) -> TieWeight. Only interacting pairs are compared."""
-    if metric not in METRIC_KINDS:
-        raise MetricError(f"unknown metric kind {metric!r}; valid: {METRIC_KINDS}")
+    (i, j) -> TieWeight. Only interacting pairs are compared; each endpoint
+    agent's feature is computed once, when a tie first touches it."""
+    feature, compare = _measure(metric)
     cfg = config or MetricConfig()
     by_id = {a.id: a for a in agents}
-    pair_fn = _pair_function(metric, by_id, cfg)
+    features: dict = {}
+
+    def feature_of(agent_id):
+        if agent_id not in features:
+            # seeded by agent id, not by evaluation order, so tie weighting
+            # stays schedule-independent
+            seed = int_seed(cfg.seed, "tsp", agent_id)
+            features[agent_id] = feature(by_id[agent_id].fcm, cfg, seed)
+        return features[agent_id]
+
     weights = {}
     for i, j in graph.ties:
         try:
-            weights[(i, j)] = TieWeight(pair_fn(i, j))
+            weights[(i, j)] = TieWeight(compare(feature_of(i), feature_of(j), cfg))
         except MetricError as exc:
             raise MetricError(f"metric {metric!r} failed on tie ({i}, {j}): {exc}") from exc
     return weights
@@ -470,20 +455,27 @@ def import_tie_weights(path) -> tuple[dict, str]:
     is "" for a file without rows."""
     weights = {}
     metrics = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j", "metric", "dissimilarity", "similarity"]:
-            raise MetricError(f"unexpected tie-weight header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                i, j, metric, d = int(row[0]), int(row[1]), row[2], float(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"malformed tie-weight row {row!r} in {path}") from exc
-            metrics.add(metric)
-            weights[(i, j) if i < j else (j, i)] = TieWeight(d)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["i", "j", "metric", "dissimilarity", "similarity"]:
+                raise ConfigError(f"unexpected tie-weight header {header!r} in {path}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    i, j, metric = int(row[0]), int(row[1]), row[2]
+                    weight = TieWeight(float(row[3]))
+                except (IndexError, ValueError, MetricError) as exc:
+                    raise ConfigError(f"malformed tie-weight row {row!r} in {path}: {exc}") from exc
+                tie = (i, j) if i < j else (j, i)
+                if tie in weights:
+                    raise ConfigError(f"tie {tie} listed twice in {path}")
+                weights[tie] = weight
+                metrics.add(metric)
+    except FileNotFoundError:
+        raise ConfigError(f"tie-weight file not found: {path}") from None
     if len(metrics) > 1:
         raise ConfigError(f"tie-weight file {path} mixes metrics {sorted(metrics)}")
     return weights, metrics.pop() if metrics else ""

@@ -260,3 +260,7 @@ class TestDistributionIO:
         path.write_text(f"run_index,output_value\n0,0.5\n{row}\n")
         with pytest.raises(ConfigError):
             import_distribution(path)
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            import_distribution(tmp_path / "missing.csv")

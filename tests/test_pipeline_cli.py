@@ -257,6 +257,43 @@ class TestCliErrors:
         assert "'density'" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(staged, "partition.csv"))
 
+    @pytest.mark.parametrize("edit", ["extra tie", "self tie", "missing tie"])
+    def test_cluster_rejects_ties_not_of_topology(self, tmp_path, capsys, edit):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        assert main(["generate", "--config", config_path, "--out", str(staged)]) == 0
+        assert main(["weigh", "--config", config_path, "--out", str(staged)]) == 0
+        with open(staged / "topology.csv", newline="") as fh:
+            topology = {(int(r[0]), int(r[1])) for r in list(csv.reader(fh))[1:]}
+        ties = staged / "ties.csv"
+        lines = ties.read_text().splitlines(keepends=True)
+        if edit == "missing tie":
+            lines.pop()
+        elif edit == "self tie":
+            lines.append("1,1,jaccard_edges,0.5,0.6\n")
+        else:
+            j = next(j for j in range(1, 40) if (0, j) not in topology)
+            lines.append(f"0,{j},jaccard_edges,0.5,0.6\n")
+        ties.write_text("".join(lines))
+        assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
+        assert "ties of topology.csv" in capsys.readouterr().err
+        assert not os.path.exists(staged / "partition.csv")
+
+    def test_cluster_before_weigh_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = str(tmp_path / "staged")
+        assert main(["generate", "--config", config_path, "--out", staged]) == 0
+        assert main(["cluster", "--config", config_path, "--out", staged]) == 1
+        assert "tie-weight file not found" in capsys.readouterr().err
+
+    def test_compare_before_simulate_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = str(tmp_path / "staged")
+        for stage in ("generate", "weigh", "cluster", "reduce"):
+            assert main([stage, "--config", config_path, "--out", staged]) == 0
+        assert main(["compare", "--config", config_path, "--out", staged]) == 1
+        assert "distribution file not found" in capsys.readouterr().err
+
     def test_cli_metric_override_lands_in_report(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "o"

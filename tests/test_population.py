@@ -287,6 +287,21 @@ class TestTopologyIO:
         with pytest.raises(ConfigError, match="header"):
             import_topology(path, range(2))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,X\n1,1,X\n", "self-tie"),
+            ("0,1,X\n0,5,X\n", "unknown node"),
+            ("0,1,X\n1,0,X\n", "duplicate ties"),
+            ("0,1,X\n1,2,\n", "channels missing"),
+        ],
+    )
+    def test_bad_ties_are_config_errors(self, tmp_path, rows, message):
+        path = tmp_path / "topo.csv"
+        path.write_text("i,j,channel_label\n" + rows)
+        with pytest.raises(ConfigError, match=message):
+            import_topology(path, range(3))
+
 
 def test_randomize_activations_deterministic_and_in_range():
     fcms = generate_variants(build_obesity_fcm(), 5, 0.1, seed=1)

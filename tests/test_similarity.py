@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmreduce import similarity
 from fcmreduce.errors import ConfigError, MetricError
 from fcmreduce.fcm import Fcm
 from fcmreduce.population import (
@@ -15,6 +16,7 @@ from fcmreduce.population import (
     generate_cmaes_style,
     make_agents,
 )
+from fcmreduce.seeding import int_seed
 from fcmreduce.similarity import (
     METRIC_KINDS,
     DiscretizationSpec,
@@ -28,6 +30,7 @@ from fcmreduce.similarity import (
     concept_count_distance,
     density,
     density_distance,
+    distance,
     edge_kl_distance,
     export_tie_weights,
     import_tie_weights,
@@ -596,11 +599,34 @@ class TestWeighTies:
 
     HEADER = "i,j,metric,dissimilarity,similarity\n"
 
-    @pytest.mark.parametrize("row", ["0", "1,2", "0,abc,density,0.5,0.6", "0,1,density,abc,0.6"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0", "1,2", "0,abc,density,0.5,0.6", "0,1,density,abc,0.6",
+            "0,1,density,-0.5,1.6", "0,1,density,nan,0.6", "0,1,density,inf,0.0",
+        ],
+    )
     def test_malformed_tie_row_is_config_error(self, tmp_path, row):
         path = tmp_path / "ties.csv"
         path.write_text(self.HEADER + row + "\n")
         with pytest.raises(ConfigError):
+            import_tie_weights(path)
+
+    @pytest.mark.parametrize("text", ["", "a,b,c\n0,1,2\n"])
+    def test_bad_header_is_config_error(self, tmp_path, text):
+        path = tmp_path / "ties.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="header"):
+            import_tie_weights(path)
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            import_tie_weights(tmp_path / "missing.csv")
+
+    def test_duplicate_tie_rejected(self, tmp_path):
+        path = tmp_path / "ties.csv"
+        path.write_text(self.HEADER + "0,1,density,0.5,0.6\n1,0,density,0.5,0.6\n")
+        with pytest.raises(ConfigError, match="twice"):
             import_tie_weights(path)
 
     def test_mixed_metrics_rejected(self, tmp_path):
@@ -622,6 +648,65 @@ def pair_distance(kind, a, b, cfg, seed=0):
     agents = [Agent(0, a), Agent(1, b)]
     graph = SocialGraph((0, 1), ((0, 1),))
     return weigh_ties(agents, graph, kind, cfg)[(0, 1)].dissimilarity
+
+
+class TestRegistry:
+    """weigh_ties and distance() run the same (feature, compare) entry."""
+
+    @staticmethod
+    def mixed_population():
+        rng = np.random.default_rng(8)
+        agents = make_agents([random_fcm(rng, 3, 9, prefix="C") for _ in range(10)])
+        ties = tuple((i, (i + 1) % 9) for i in range(9)) + ((0, 4), (2, 7))
+        # agent 9 has no tie
+        return agents, SocialGraph(tuple(range(10)), ties)
+
+    @pytest.mark.parametrize("metric", [m for m in METRIC_KINDS if m != "tsp"])
+    def test_weigh_ties_equals_distance(self, metric):
+        agents, graph = self.mixed_population()
+        cfg = MetricConfig(centrality="closeness", seed=3)
+        weights = weigh_ties(agents, graph, metric, cfg)
+        assert set(weights) == set(graph.ties)
+        for (i, j), tw in weights.items():
+            assert tw.dissimilarity == distance(metric, agents[i].fcm, agents[j].fcm, cfg)
+
+    def test_tsp_profiles_each_endpoint_once(self, monkeypatch):
+        agents, graph = self.mixed_population()
+        cfg = MetricConfig(tsp_ensemble=3, seed=3)
+        seeds = []
+        profile = similarity.triad_profile
+
+        def counting_profile(f, view, ensemble_size, swaps_per_edge, seed):
+            seeds.append(seed)
+            return profile(f, view, ensemble_size, swaps_per_edge, seed)
+
+        monkeypatch.setattr(similarity, "triad_profile", counting_profile)
+        weigh_ties(agents, graph, "tsp", cfg)
+        assert sorted(seeds) == sorted(int_seed(3, "tsp", i) for i in range(9))
+
+    def test_jaccard_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import fcmreduce
+
+        script = (
+            "from fcmreduce.population import SocialGraph, generate_cmaes_style, make_agents\n"
+            "from fcmreduce.similarity import weigh_ties\n"
+            "agents = make_agents(generate_cmaes_style(12, 5))\n"
+            "graph = SocialGraph(tuple(range(12)), tuple((i, (i + 1) % 12) for i in range(12)))\n"
+            "weights = weigh_ties(agents, graph, 'jaccard_edges')\n"
+            "print([weights[t].dissimilarity.hex() for t in sorted(weights)])\n"
+        )
+        src = os.path.dirname(os.path.dirname(fcmreduce.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 def test_registry_has_exactly_eleven_metrics():
