@@ -21,7 +21,7 @@ from .errors import (
     MetricError,
     ReportError,
 )
-from .fcm import Fcm, SimulationSettings, load_fcm, save_fcm, simulate, step
+from .fcm import Fcm, SimulationSettings, simulate, step
 from .harness import (
     OutputDistribution,
     RunSpec,

@@ -8,7 +8,6 @@ report.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .community import CommunityStats
 from .errors import ReportError
+from .files import write_csv
 from .harness import OutputDistribution
 from .similarity import kl_from_counts
 
@@ -124,9 +124,8 @@ def export_long_format(
     original: OutputDistribution, simplified: OutputDistribution, path
 ) -> None:
     """Violin-plot-ready long CSV: model,run_index,value for both models."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "run_index", "value"])
-        for name, dist in (("original", original), ("simplified", simplified)):
-            for idx, value in enumerate(dist.samples):
-                writer.writerow([name, idx, repr(float(value))])
+    write_csv(path, ["model", "run_index", "value"], (
+        [name, idx, repr(float(value))]
+        for name, dist in (("original", original), ("simplified", simplified))
+        for idx, value in enumerate(dist.samples)
+    ))

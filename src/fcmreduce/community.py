@@ -9,12 +9,12 @@ until no merge helps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .files import read_csv, write_csv
 from .population import SocialGraph
 from .seeding import rng_for
 
@@ -211,31 +211,20 @@ def partition_stats(p: Partition) -> CommunityStats:
 # ---------------------------------------------------------------------------
 # Partition file I/O: CSV agent_id,community_id
 
+_PARTITION_HEADER = ["agent_id", "community_id"]
+
+
 def export_partition(p: Partition, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent_id", "community_id"])
-        for node in sorted(p.assignment):
-            writer.writerow([node, p.assignment[node]])
+    write_csv(path, _PARTITION_HEADER, sorted(p.assignment.items()))
 
 
 def import_partition(path) -> Partition:
     assignment = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["agent_id", "community_id"]:
-                raise ConfigError(f"unexpected partition header {header!r} in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    assignment[int(row[0])] = int(row[1])
-                except (IndexError, ValueError) as exc:
-                    raise ConfigError(f"malformed partition row {row!r} in {path}") from exc
-    except FileNotFoundError:
-        raise ConfigError(f"partition file not found: {path}") from None
+    for row in read_csv(path, _PARTITION_HEADER, "partition"):
+        try:
+            assignment[int(row[0])] = int(row[1])
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"malformed partition row {row!r} in {path}") from exc
     try:
         return Partition(assignment)
     except ContractError as exc:

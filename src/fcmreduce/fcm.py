@@ -9,7 +9,6 @@ falls below a tolerance) or an iteration cap is hit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -227,13 +226,3 @@ def fcm_from_dict(data: dict) -> Fcm:
         return Fcm(tuple(concepts), weights, activation)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def save_fcm(fcm: Fcm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fcm_to_dict(fcm), fh, indent=2, sort_keys=True)
-
-
-def load_fcm(path) -> Fcm:
-    with open(path, encoding="utf-8") as fh:
-        return fcm_from_dict(json.load(fh))

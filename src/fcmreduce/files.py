@@ -1,0 +1,75 @@
+"""Every read and write of a work-directory file.
+
+Stage files are UTF-8 text. A reader turns a missing, undecodable or
+malformed file into ConfigError (CLI exit 1); each format's row parsing
+and checks stay with the module that owns the format. A writer writes
+`<path>.tmp` and then replaces the target, so a failed write leaves the
+previous file untouched.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+from contextlib import contextmanager, suppress
+
+from .errors import ConfigError
+
+
+@contextmanager
+def writing(path):
+    """Yield a UTF-8 text handle whose content replaces `path` on success."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path, header: list, rows) -> None:
+    with writing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, value) -> None:
+    with writing(path) as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+
+
+def read_csv(path, header: list, what: str):
+    """Yield the non-blank rows of a CSV file whose first row is `header`."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found != header:
+                raise ConfigError(f"unexpected {what} header {found!r} in {path}")
+            for row in reader:
+                if row:
+                    yield row
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{what} file {path} is not valid CSV: {exc}") from exc
+
+
+def read_json(path, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deeply
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc

@@ -16,8 +16,6 @@ interact()-based reference bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .fcm import SimulationSettings, settle, simulate
+from .files import read_csv, write_csv, write_json
 from .population import Agent, SocialGraph
 from .seeding import seed_sequence
 
@@ -196,12 +195,13 @@ def run_distribution(
 # Distribution file I/O: CSV run_index,output_value plus a JSON sidecar
 # with the run spec and master seed.
 
+_DISTRIBUTION_HEADER = ["run_index", "output_value"]
+
+
 def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_path=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_index", "output_value"])
-        for idx, value in enumerate(dist.samples):
-            writer.writerow([idx, repr(float(value))])
+    write_csv(path, _DISTRIBUTION_HEADER, (
+        [idx, repr(float(value))] for idx, value in enumerate(dist.samples)
+    ))
     if sidecar_path is not None:
         sidecar = {
             "output_concept": spec.output_concept,
@@ -216,27 +216,16 @@ def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_p
                 "self_memory": spec.settings.self_memory,
             },
         }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+        write_json(sidecar_path, sidecar)
 
 
 def import_distribution(path) -> OutputDistribution:
     samples = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["run_index", "output_value"]:
-                raise ConfigError(f"unexpected distribution header {header!r} in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    samples.append(float(row[1]))
-                except (IndexError, ValueError) as exc:
-                    raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
-    except FileNotFoundError:
-        raise ConfigError(f"distribution file not found: {path}") from None
+    for row in read_csv(path, _DISTRIBUTION_HEADER, "distribution"):
+        try:
+            samples.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
     if not samples:
         raise ConfigError(f"distribution file {path} holds no samples")
     try:

@@ -11,10 +11,8 @@ singleton partition therefore reproduces the original distribution exactly).
 
 from __future__ import annotations
 
-import csv
-import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from .analysis import (
     SWEEP_HEADER,
@@ -34,6 +32,7 @@ from .community import (
 )
 from .errors import ConfigError, FcmReduceError
 from .fcm import TRANSFER_FUNCTIONS, SimulationSettings
+from .files import read_json, write_csv, write_json, writing
 from .harness import (
     OutputDistribution,
     RunSpec,
@@ -214,13 +213,9 @@ def config_from_dict(data: dict, **overrides) -> PipelineConfig:
 
 
 def load_config(path, **overrides) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "config")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(data, **overrides)
 
 
@@ -284,13 +279,13 @@ def stage_compare(
     cfg: PipelineConfig,
     original: OutputDistribution,
     simplified: OutputDistribution,
-    model: ReducedModel,
+    removed_count: int,
     partition: Partition,
 ) -> FidelityReport:
     return build_report(
         original,
         simplified,
-        model.removed_count,
+        removed_count,
         partition_stats(partition),
         asdict(cfg),
         bins=cfg.kl_bins,
@@ -321,7 +316,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     simplified = _staged(
         "simulate-reduced", stage_simulate, cfg, reduced.agents, reduced.graph
     )
-    report = _staged("compare", stage_compare, cfg, original, simplified, reduced, partition)
+    report = _staged(
+        "compare", stage_compare, cfg, original, simplified, reduced.removed_count, partition
+    )
     result = PipelineResult(
         agents, graph, weights, partition, reduced, original, simplified, report
     )
@@ -368,7 +365,7 @@ def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> Non
         join("runspec_reduced.json"),
     )
     export_long_format(result.original, result.simplified, join("violin.csv"))
-    with open(join("report.json"), "w", encoding="utf-8") as fh:
+    with writing(join("report.json")) as fh:
         fh.write(report_to_json(result.report))
 
 
@@ -397,15 +394,12 @@ def run_sweep(cfg: PipelineConfig, out_dir) -> list:
                     "simulate-reduced", stage_simulate, cell, reduced.agents, reduced.graph
                 )
                 report = _staged(
-                    "compare", stage_compare, cell, original, simplified, reduced, partition
+                    "compare", stage_compare, cell, original, simplified,
+                    reduced.removed_count, partition,
                 )
                 rows.append(sweep_row(report, topology, metric, algorithm))
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
+    write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
+    write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
     return rows
 
 
@@ -504,15 +498,7 @@ def stage_compare_files(
     removed = sum(len(e["members"]) for e in provenance["communities"].values()) - len(
         provenance["communities"]
     )
-    report = build_report(
-        original,
-        simplified,
-        removed,
-        partition_stats(partition),
-        asdict(cfg),
-        bins=cfg.kl_bins,
-        alpha=cfg.kl_alpha,
-    )
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    report = stage_compare(cfg, original, simplified, removed, partition)
+    with writing(os.path.join(out_dir, "report.json")) as fh:
         fh.write(report_to_json(report))
     return report

@@ -8,7 +8,6 @@ can be imported from the JSON format.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import ChannelError, ConfigError, ContractError, GenerationError
 from .fcm import Fcm, fcm_from_dict, fcm_to_dict
+from .files import read_csv, read_json, write_csv, writing
 from .seeding import int_seed, rng_for
 
 TOPOLOGY_KINDS = ("random", "small_world", "scale_free")
@@ -234,7 +234,7 @@ def export_population(fcms: list[Fcm], path) -> None:
     """Write one FCM object per line. Each record is encoded on its own, so
     the whole array is never held as one string or run through the
     pure-Python indenting encoder."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write("[\n")
         for idx, f in enumerate(fcms):
             if idx:
@@ -244,13 +244,7 @@ def export_population(fcms: list[Fcm], path) -> None:
 
 
 def import_population(path) -> list[Fcm]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            records = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"population file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"population file {path} is not valid JSON: {exc}") from exc
+    records = read_json(path, "population")
     if not isinstance(records, list) or not records:
         raise ConfigError(f"population file {path} must hold a non-empty JSON array")
     fcms = []
@@ -314,36 +308,27 @@ def assign_channels(graph: SocialGraph, agents: list[Agent], seed: int) -> Socia
 # ---------------------------------------------------------------------------
 # Topology file I/O: edge-list CSV i,j,channel_label
 
+_TOPOLOGY_HEADER = ["i", "j", "channel_label"]
+
+
 def export_topology(graph: SocialGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "channel_label"])
-        for i, j in graph.ties:
-            label = graph.channels[(i, j)] if graph.channels else ""
-            writer.writerow([i, j, label])
+    write_csv(path, _TOPOLOGY_HEADER, (
+        [i, j, graph.channels[(i, j)] if graph.channels else ""] for i, j in graph.ties
+    ))
 
 
 def import_topology(path, nodes) -> SocialGraph:
     """Read an edge-list CSV back into a SocialGraph over the given nodes."""
     ties = []
     channels = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["i", "j", "channel_label"]:
-                raise ConfigError(f"unexpected topology header {header!r} in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                i, j, label = int(row[0]), int(row[1]), row[2]
-                ties.append((i, j))
-                if label:
-                    channels[(i, j) if i < j else (j, i)] = label
-    except FileNotFoundError:
-        raise ConfigError(f"topology file not found: {path}") from None
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed topology row in {path}: {exc}") from exc
+    for row in read_csv(path, _TOPOLOGY_HEADER, "topology"):
+        try:
+            i, j, label = int(row[0]), int(row[1]), row[2]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed topology row {row!r} in {path}: {exc}") from exc
+        ties.append((i, j))
+        if label:
+            channels[(i, j) if i < j else (j, i)] = label
     try:
         return SocialGraph(tuple(nodes), tuple(ties), channels or None)
     except ContractError as exc:

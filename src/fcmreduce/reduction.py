@@ -8,11 +8,11 @@ crossed their communities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .community import Partition
 from .errors import ChannelError, ConfigError, ContractError
+from .files import read_json, write_json
 from .population import Agent, SocialGraph
 from .seeding import rng_for
 
@@ -112,20 +112,13 @@ def contract(
 
 
 def export_provenance(model: ReducedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.provenance, fh, indent=2, sort_keys=True)
+    write_json(path, model.provenance)
 
 
 def import_provenance(path) -> dict:
     """Read provenance.json; each community entry must carry an integer
     representative and a list of integer members."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            provenance = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"provenance file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"provenance file {path} is not valid JSON: {exc}") from exc
+    provenance = read_json(path, "provenance")
     communities = provenance.get("communities") if isinstance(provenance, dict) else None
     if not isinstance(communities, dict):
         raise ConfigError(f"provenance file {path} has no communities mapping")

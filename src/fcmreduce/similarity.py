@@ -11,7 +11,6 @@ otherwise make them degenerate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, MetricError
 from .fcm import Fcm
+from .files import read_csv, write_csv
 from .population import Agent, SocialGraph
 from .seeding import int_seed
 from .triads import triad_significance_profile
@@ -442,12 +442,14 @@ def weigh_ties(
 # ---------------------------------------------------------------------------
 # Tie-weight file I/O: CSV i,j,metric,dissimilarity,similarity
 
+_TIE_HEADER = ["i", "j", "metric", "dissimilarity", "similarity"]
+
+
 def export_tie_weights(weights: dict, metric: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "metric", "dissimilarity", "similarity"])
-        for (i, j), tw in sorted(weights.items()):
-            writer.writerow([i, j, metric, repr(tw.dissimilarity), repr(tw.similarity)])
+    write_csv(path, _TIE_HEADER, (
+        [i, j, metric, repr(tw.dissimilarity), repr(tw.similarity)]
+        for (i, j), tw in sorted(weights.items())
+    ))
 
 
 def import_tie_weights(path) -> tuple[dict, str]:
@@ -455,27 +457,17 @@ def import_tie_weights(path) -> tuple[dict, str]:
     is "" for a file without rows."""
     weights = {}
     metrics = set()
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["i", "j", "metric", "dissimilarity", "similarity"]:
-                raise ConfigError(f"unexpected tie-weight header {header!r} in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    i, j, metric = int(row[0]), int(row[1]), row[2]
-                    weight = TieWeight(float(row[3]))
-                except (IndexError, ValueError, MetricError) as exc:
-                    raise ConfigError(f"malformed tie-weight row {row!r} in {path}: {exc}") from exc
-                tie = (i, j) if i < j else (j, i)
-                if tie in weights:
-                    raise ConfigError(f"tie {tie} listed twice in {path}")
-                weights[tie] = weight
-                metrics.add(metric)
-    except FileNotFoundError:
-        raise ConfigError(f"tie-weight file not found: {path}") from None
+    for row in read_csv(path, _TIE_HEADER, "tie-weight"):
+        try:
+            i, j, metric = int(row[0]), int(row[1]), row[2]
+            weight = TieWeight(float(row[3]))
+        except (IndexError, ValueError, MetricError) as exc:
+            raise ConfigError(f"malformed tie-weight row {row!r} in {path}: {exc}") from exc
+        tie = (i, j) if i < j else (j, i)
+        if tie in weights:
+            raise ConfigError(f"tie {tie} listed twice in {path}")
+        weights[tie] = weight
+        metrics.add(metric)
     if len(metrics) > 1:
         raise ConfigError(f"tie-weight file {path} mixes metrics {sorted(metrics)}")
     return weights, metrics.pop() if metrics else ""

@@ -177,6 +177,20 @@ class TestCliErrors:
             main(["pipeline", "--config", str(tmp_path / "none.json"), "--out", "o"]) == 1
         )
 
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config file" in capsys.readouterr().err
+
+    def test_weigh_on_non_utf8_population_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        (staged / "population.json").write_bytes(b"\xff\xfe")
+        assert main(["weigh", "--config", config_path, "--out", str(staged)]) == 1
+        assert "population file" in capsys.readouterr().err
+
     def test_runtime_error_exit_code_2_names_stage(self, tmp_path, capsys):
         # config validates (file exists) but the population payload is junk,
         # so the failure surfaces inside the population stage
