@@ -72,8 +72,8 @@ class FidelityReport:
             q = [stats["min"], stats["p25"], stats["p50"], stats["p75"], stats["max"]]
             if any(a > b for a, b in zip(q, q[1:])):
                 raise ReportError(f"quartiles out of order: {stats}")
-        if self.kl_divergence < 0:
-            raise ReportError("KL divergence cannot be negative")
+        if not self.kl_divergence >= 0:
+            raise ReportError(f"KL divergence must be >= 0, got {self.kl_divergence}")
 
 
 def build_report(

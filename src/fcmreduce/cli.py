@@ -90,10 +90,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "pipeline":
             if args.sweep:
                 rows = run_sweep(cfg, args.out)
@@ -125,10 +121,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FcmReduceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FcmReduceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -12,7 +12,8 @@ singleton partition therefore reproduces the original distribution exactly).
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 
 from .analysis import (
     SWEEP_HEADER,
@@ -30,8 +31,8 @@ from .community import (
     import_partition,
     partition_stats,
 )
-from .errors import ConfigError, FcmReduceError
-from .fcm import TRANSFER_FUNCTIONS, SimulationSettings
+from .errors import ConfigError, MetricError
+from .fcm import SimulationSettings
 from .files import read_json, write_csv, write_json, writing
 from .harness import (
     OutputDistribution,
@@ -60,7 +61,6 @@ from .population import (
 from .reduction import ReducedModel, contract, export_provenance, import_provenance, select_representatives
 from .seeding import int_seed
 from .similarity import (
-    CENTRALITY_KINDS,
     METRIC_KINDS,
     DiscretizationSpec,
     MetricConfig,
@@ -75,6 +75,22 @@ COMMUNITY_ALGORITHMS = ("chinese_whispers", "agglomerative")
 
 # Default watched concept per built-in population source.
 _DEFAULT_CONCEPT = {"obesity-variants": "Obesity", "cmaes-style": "Awareness"}
+
+# Per field annotation of PipelineConfig: what a value must be, and the test.
+# bool is a subclass of int, so the number types exclude it by name; a float
+# field takes an int too, and the bound rejects NaN, infinities and ints that
+# no float can hold.
+FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -121,6 +137,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """The one check of a config: types, names, then every bound, by
+        building the sub-specs that the stages build from it."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            wanted, accepts = FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ConfigError(f"config key {f.name!r} must be {wanted}, got {value!r:.60}")
         if self.source not in POPULATION_SOURCES:
             raise ConfigError(
                 f"unknown population source {self.source!r}; valid: {POPULATION_SOURCES}"
@@ -130,24 +153,29 @@ class PipelineConfig:
                 raise ConfigError("population source 'import' needs population_path")
             if not os.path.exists(self.population_path):
                 raise ConfigError(f"population file not found: {self.population_path}")
-        elif self.count < 1:
-            raise ConfigError("population count must be >= 1")
+        # TopologySpec checks the name too, but an imported population's
+        # size, and so its topology_spec, is known only once the file is read
         if self.topology not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology {self.topology!r}; valid: {TOPOLOGY_KINDS}")
         if self.metric not in METRIC_KINDS:
             raise ConfigError(f"unknown metric {self.metric!r}; valid: {METRIC_KINDS}")
-        if self.centrality not in CENTRALITY_KINDS:
-            raise ConfigError(
-                f"unknown centrality {self.centrality!r}; valid: {CENTRALITY_KINDS}"
-            )
         if self.algorithm not in COMMUNITY_ALGORITHMS:
             raise ConfigError(
                 f"unknown community algorithm {self.algorithm!r}; valid: {COMMUNITY_ALGORITHMS}"
             )
-        if self.transfer not in TRANSFER_FUNCTIONS:
-            raise ConfigError(
-                f"unknown transfer {self.transfer!r}; valid: {TRANSFER_FUNCTIONS}"
-            )
+        if self.max_rounds < 1:
+            raise ConfigError("max_rounds must be >= 1")
+        if self.kl_bins < 1:
+            raise ConfigError("kl_bins must be >= 1")
+        if not self.kl_alpha > 0:
+            raise ConfigError("kl_alpha must be > 0")
+        self.run_spec()
+        try:
+            self.metric_config()
+        except MetricError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.source != "import":
+            self.topology_spec(self.count)
 
     # Derived pieces -------------------------------------------------------
 
@@ -206,10 +234,7 @@ def config_from_dict(data: dict, **overrides) -> PipelineConfig:
         )
     merged = dict(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return PipelineConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return PipelineConfig(**merged)
 
 
 def load_config(path, **overrides) -> PipelineConfig:
@@ -307,18 +332,14 @@ class PipelineResult:
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     """Execute the whole pipeline; write all artifacts when out_dir is set."""
-    agents = _staged("population", stage_population, cfg)
-    graph = _staged("topology", stage_topology, cfg, agents)
-    original = _staged("simulate-original", stage_simulate, cfg, agents, graph)
-    weights = _staged("weigh", stage_weigh, cfg, agents, graph)
-    partition = _staged("cluster", stage_cluster, cfg, graph, weights)
-    reduced = _staged("reduce", stage_reduce, cfg, agents, graph, partition)
-    simplified = _staged(
-        "simulate-reduced", stage_simulate, cfg, reduced.agents, reduced.graph
-    )
-    report = _staged(
-        "compare", stage_compare, cfg, original, simplified, reduced.removed_count, partition
-    )
+    agents = stage_population(cfg)
+    graph = stage_topology(cfg, agents)
+    original = stage_simulate(cfg, agents, graph)
+    weights = stage_weigh(cfg, agents, graph)
+    partition = stage_cluster(cfg, graph, weights)
+    reduced = stage_reduce(cfg, agents, graph, partition)
+    simplified = stage_simulate(cfg, reduced.agents, reduced.graph)
+    report = stage_compare(cfg, original, simplified, reduced.removed_count, partition)
     result = PipelineResult(
         agents, graph, weights, partition, reduced, original, simplified, report
     )
@@ -327,46 +348,55 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     return result
 
 
-class StageError(FcmReduceError):
-    """An error wrapped with the name of the stage that raised it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
-def _staged(name, fn, *args):
-    try:
-        return fn(*args)
-    except FcmReduceError as exc:
-        if isinstance(exc, StageError):
-            raise
-        raise StageError(name, exc) from exc
-
-
 def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    join = lambda name: os.path.join(out_dir, name)
-    export_population([a.fcm for a in result.agents], join("population.json"))
-    export_topology(result.graph, join("topology.csv"))
-    export_tie_weights(result.tie_weights, cfg.metric, join("ties.csv"))
-    export_partition(result.partition, join("partition.csv"))
-    export_population([a.fcm for a in result.reduced.agents], join("reduced_population.json"))
-    export_topology(result.reduced.graph, join("reduced_topology.csv"))
-    export_provenance(result.reduced, join("provenance.json"))
-    spec = cfg.run_spec()
-    export_distribution(
-        result.original, spec, join("distribution_original.csv"),
-        join("runspec_original.json"),
+    _write_model(out_dir, result.agents, result.graph)
+    export_tie_weights(result.tie_weights, cfg.metric, os.path.join(out_dir, "ties.csv"))
+    export_partition(result.partition, os.path.join(out_dir, "partition.csv"))
+    _write_reduced(out_dir, result.reduced)
+    _write_distribution(out_dir, cfg, result.original, "original")
+    _write_distribution(out_dir, cfg, result.simplified, "reduced")
+    export_long_format(result.original, result.simplified, os.path.join(out_dir, "violin.csv"))
+    _write_report(out_dir, result.report)
+
+
+# One writer per work-directory file, shared by write_artifacts and the
+# file-based stages, so both routes write the same names and bytes.
+
+def _model_paths(out_dir, prefix: str = "") -> tuple:
+    """(population, topology) paths of the original model, or of the
+    reduced one with prefix "reduced_"."""
+    return (
+        os.path.join(out_dir, f"{prefix}population.json"),
+        os.path.join(out_dir, f"{prefix}topology.csv"),
     )
+
+
+def _write_model(out_dir, agents: list[Agent], graph: SocialGraph, prefix: str = "") -> None:
+    population_path, topology_path = _model_paths(out_dir, prefix)
+    export_population([a.fcm for a in agents], population_path)
+    export_topology(graph, topology_path)
+
+
+def _write_reduced(out_dir, model: ReducedModel) -> None:
+    _write_model(out_dir, model.agents, model.graph, "reduced_")
+    export_provenance(model, os.path.join(out_dir, "provenance.json"))
+
+
+def _distribution_path(out_dir, model: str) -> str:
+    return os.path.join(out_dir, f"distribution_{model}.csv")
+
+
+def _write_distribution(out_dir, cfg: PipelineConfig, dist: OutputDistribution, model: str) -> None:
     export_distribution(
-        result.simplified, spec, join("distribution_reduced.csv"),
-        join("runspec_reduced.json"),
+        dist, cfg.run_spec(), _distribution_path(out_dir, model),
+        os.path.join(out_dir, f"runspec_{model}.json"),
     )
-    export_long_format(result.original, result.simplified, join("violin.csv"))
-    with writing(join("report.json")) as fh:
-        fh.write(report_to_json(result.report))
+
+
+def _write_report(out_dir, report: FidelityReport) -> None:
+    with writing(os.path.join(out_dir, "report.json")) as fh:
+        fh.write(report_to_json(report))
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +406,25 @@ def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> Non
 # across every cell that shares a topology.
 
 def run_sweep(cfg: PipelineConfig, out_dir) -> list:
+    # each topology's knobs (p, k, beta, m) are checked before any work
+    top_cfgs = [replace(cfg, topology=topology) for topology in TOPOLOGY_KINDS]
     os.makedirs(out_dir, exist_ok=True)
-    agents = _staged("population", stage_population, cfg)
+    agents = stage_population(cfg)
     rows = []
-    for topology in TOPOLOGY_KINDS:
-        top_cfg = replace(cfg, topology=topology)
-        graph = _staged("topology", stage_topology, top_cfg, agents)
-        original = _staged("simulate-original", stage_simulate, top_cfg, agents, graph)
+    for top_cfg in top_cfgs:
+        topology = top_cfg.topology
+        graph = stage_topology(top_cfg, agents)
+        original = stage_simulate(top_cfg, agents, graph)
         for metric in METRIC_KINDS:
             cell_base = replace(top_cfg, metric=metric)
-            weights = _staged("weigh", stage_weigh, cell_base, agents, graph)
+            weights = stage_weigh(cell_base, agents, graph)
             for algorithm in COMMUNITY_ALGORITHMS:
                 cell = replace(cell_base, algorithm=algorithm)
-                partition = _staged("cluster", stage_cluster, cell, graph, weights)
-                reduced = _staged("reduce", stage_reduce, cell, agents, graph, partition)
-                simplified = _staged(
-                    "simulate-reduced", stage_simulate, cell, reduced.agents, reduced.graph
-                )
-                report = _staged(
-                    "compare", stage_compare, cell, original, simplified,
-                    reduced.removed_count, partition,
+                partition = stage_cluster(cell, graph, weights)
+                reduced = stage_reduce(cell, agents, graph, partition)
+                simplified = stage_simulate(cell, reduced.agents, reduced.graph)
+                report = stage_compare(
+                    cell, original, simplified, reduced.removed_count, partition
                 )
                 rows.append(sweep_row(report, topology, metric, algorithm))
     write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
@@ -406,32 +435,26 @@ def run_sweep(cfg: PipelineConfig, out_dir) -> list:
 # ---------------------------------------------------------------------------
 # File-based stage execution (compose or resume pipelines from a work dir).
 
-def _load_agents(out_dir) -> list[Agent]:
-    return make_agents(import_population(os.path.join(out_dir, "population.json")))
-
-
-def _load_graph(out_dir, n: int) -> SocialGraph:
-    return import_topology(os.path.join(out_dir, "topology.csv"), range(n))
+def _load_model(out_dir) -> tuple:
+    population_path, topology_path = _model_paths(out_dir)
+    agents = make_agents(import_population(population_path))
+    return agents, import_topology(topology_path, range(len(agents)))
 
 
 def stage_generate_files(cfg: PipelineConfig, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     agents = stage_population(cfg)
-    graph = stage_topology(cfg, agents)
-    export_population([a.fcm for a in agents], os.path.join(out_dir, "population.json"))
-    export_topology(graph, os.path.join(out_dir, "topology.csv"))
+    _write_model(out_dir, agents, stage_topology(cfg, agents))
 
 
 def stage_weigh_files(cfg: PipelineConfig, out_dir) -> None:
-    agents = _load_agents(out_dir)
-    graph = _load_graph(out_dir, len(agents))
+    agents, graph = _load_model(out_dir)
     weights = stage_weigh(cfg, agents, graph)
     export_tie_weights(weights, cfg.metric, os.path.join(out_dir, "ties.csv"))
 
 
 def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
-    agents = _load_agents(out_dir)
-    graph = _load_graph(out_dir, len(agents))
+    agents, graph = _load_model(out_dir)
     weights, metric = import_tie_weights(os.path.join(out_dir, "ties.csv"))
     if weights and metric != cfg.metric:
         raise ConfigError(
@@ -444,15 +467,9 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
 
 
 def stage_reduce_files(cfg: PipelineConfig, out_dir) -> None:
-    agents = _load_agents(out_dir)
-    graph = _load_graph(out_dir, len(agents))
+    agents, graph = _load_model(out_dir)
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
-    model = stage_reduce(cfg, agents, graph, partition)
-    export_population(
-        [a.fcm for a in model.agents], os.path.join(out_dir, "reduced_population.json")
-    )
-    export_topology(model.graph, os.path.join(out_dir, "reduced_topology.csv"))
-    export_provenance(model, os.path.join(out_dir, "provenance.json"))
+    _write_reduced(out_dir, stage_reduce(cfg, agents, graph, partition))
 
 
 def _load_reduced(out_dir) -> tuple:
@@ -460,45 +477,29 @@ def _load_reduced(out_dir) -> tuple:
     rep_ids = sorted(
         entry["representative"] for entry in provenance["communities"].values()
     )
-    fcms = import_population(os.path.join(out_dir, "reduced_population.json"))
+    population_path, topology_path = _model_paths(out_dir, "reduced_")
+    fcms = import_population(population_path)
     if len(fcms) != len(rep_ids):
         raise ConfigError("reduced population and provenance disagree on size")
     agents = [Agent(i, f) for i, f in zip(rep_ids, fcms)]
-    graph = import_topology(os.path.join(out_dir, "reduced_topology.csv"), rep_ids)
-    return agents, graph
+    return agents, import_topology(topology_path, rep_ids)
 
 
 def stage_simulate_files(cfg: PipelineConfig, out_dir, model: str = "original") -> None:
-    if model == "original":
-        agents = _load_agents(out_dir)
-        graph = _load_graph(out_dir, len(agents))
-        suffix = "original"
-    else:
-        agents, graph = _load_reduced(out_dir)
-        suffix = "reduced"
-    dist = stage_simulate(cfg, agents, graph)
-    export_distribution(
-        dist, cfg.run_spec(),
-        os.path.join(out_dir, f"distribution_{suffix}.csv"),
-        os.path.join(out_dir, f"runspec_{suffix}.json"),
-    )
+    agents, graph = _load_model(out_dir) if model == "original" else _load_reduced(out_dir)
+    _write_distribution(out_dir, cfg, stage_simulate(cfg, agents, graph), model)
 
 
 def stage_compare_files(
     cfg: PipelineConfig, out_dir, original_path=None, simplified_path=None
 ) -> FidelityReport:
-    original = import_distribution(
-        original_path or os.path.join(out_dir, "distribution_original.csv")
-    )
-    simplified = import_distribution(
-        simplified_path or os.path.join(out_dir, "distribution_reduced.csv")
-    )
+    original = import_distribution(original_path or _distribution_path(out_dir, "original"))
+    simplified = import_distribution(simplified_path or _distribution_path(out_dir, "reduced"))
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
     provenance = import_provenance(os.path.join(out_dir, "provenance.json"))
     removed = sum(len(e["members"]) for e in provenance["communities"].values()) - len(
         provenance["communities"]
     )
     report = stage_compare(cfg, original, simplified, removed, partition)
-    with writing(os.path.join(out_dir, "report.json")) as fh:
-        fh.write(report_to_json(report))
+    _write_report(out_dir, report)
     return report

@@ -116,6 +116,13 @@ class TestReport:
         assert report.kl_divergence == 0.0
         assert report.removed_count == 0
 
+    def test_unsmoothed_empty_bins_rejected_not_nan(self):
+        # with alpha 0, bins empty in both distributions give 0 * log(0 / 0)
+        original = OutputDistribution(np.array([0.0, 0.0, 1.0]))
+        simplified = OutputDistribution(np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(ReportError, match="nan"):
+            build_report(original, simplified, 0, CommunityStats(3, 1.0, 1, 1), {}, alpha=0.0)
+
     def test_json_round_trip_lossless(self):
         report = example_report()
         again = report_from_json(report_to_json(report))

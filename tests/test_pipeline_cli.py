@@ -1,19 +1,24 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmreduce.cli import main
 from fcmreduce.errors import ConfigError
 from fcmreduce.pipeline import (
+    FIELD_TYPES,
     PipelineConfig,
     config_from_dict,
     load_config,
     run_pipeline,
     run_sweep,
 )
+from fcmreduce.population import export_population, generate_cmaes_style
 
 SMOKE = {
     "source": "cmaes-style",
@@ -64,6 +69,55 @@ class TestConfig:
         cfg = load_config(path, metric="tsp", seed=99)
         assert cfg.metric == "tsp"
         assert cfg.seed == 99
+
+
+# Bounds a sub-spec checks, bounds only PipelineConfig checks, wrong types,
+# and a jitter that only the population stage rejects.
+BAD_CONFIGS = [
+    {"k": 3}, {"count": 1}, {"topology": "random", "p": 2},
+    {"rounds": 0}, {"node_bins": 1}, {"tsp_ensemble": 0}, {"epsilon": -1},
+    {"max_iterations": 0}, {"tolerance": 0},
+    *({key: 2.0} for key in ("rounds", "repeats", "count", "k", "max_iterations",
+                             "tsp_ensemble", "node_bins", "kl_bins")),
+    {"kl_alpha": 0}, {"kl_bins": 0}, {"max_rounds": 0},
+    {"self_memory": "no"}, {"seed": "abc"},
+    {"source": "obesity-variants", "jitter": -1},
+    {"source": "import", "stabilization_concept": "Awareness"},  # no output_concept
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("bad", BAD_CONFIGS, ids=json.dumps)
+    def test_bad_value_exits_1_on_both_routes(self, tmp_path, capsys, bad):
+        if bad.get("source") == "import":
+            pop = tmp_path / "pop.json"
+            export_population(generate_cmaes_style(8, seed=1), pop)
+            bad = dict(bad, population_path=str(pop))
+        path = write_config(tmp_path, bad)
+        for command in ("pipeline", "generate"):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 1
+            assert "config error" in capsys.readouterr().err
+
+    def test_every_field_annotation_has_a_type_check(self):
+        assert {f.type for f in fields(PipelineConfig)} <= set(FIELD_TYPES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from([f.name for f in fields(PipelineConfig)]), value=JSON_VALUES)
+    def test_any_json_value_is_rejected_or_builds_every_spec(self, name, value):
+        try:
+            cfg = config_from_dict({name: value})
+        except ConfigError:
+            return
+        cfg.run_spec()
+        cfg.metric_config()
+        if cfg.source != "import":
+            cfg.topology_spec(cfg.count)
 
 
 class TestPipeline:
@@ -165,6 +219,13 @@ class TestSweep:
         combos = {(r[0], r[1], r[2]) for r in lines[1:]}
         assert len(combos) == 66
 
+    def test_knob_bad_for_another_topology_rejected_before_any_work(self, tmp_path):
+        # k=3 is no small-world ring degree; the random topology ignores k
+        cfg = config_from_dict({"topology": "random", "p": 0.3, "k": 3, "count": 18})
+        with pytest.raises(ConfigError, match="ring degree"):
+            run_sweep(cfg, str(tmp_path / "sweep"))
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCliErrors:
     def test_config_error_exit_code_1(self, tmp_path, capsys):
@@ -191,18 +252,35 @@ class TestCliErrors:
         assert main(["weigh", "--config", config_path, "--out", str(staged)]) == 1
         assert "population file" in capsys.readouterr().err
 
-    def test_runtime_error_exit_code_2_names_stage(self, tmp_path, capsys):
-        # config validates (file exists) but the population payload is junk,
-        # so the failure surfaces inside the population stage
+    def test_malformed_population_exits_1_on_both_routes(self, tmp_path, capsys):
+        # the config validates (the file exists) but the population payload
+        # is junk, so its reader fails inside the population stage
         pop = tmp_path / "pop.json"
         pop.write_text('[{"concepts": ["A", "A"], "edges": []}]')
         path = write_config(
             tmp_path, {"source": "import", "population_path": str(pop),
                        "output_concept": "A", "stabilization_concept": "A"}
         )
-        code = main(["pipeline", "--config", path, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "population" in capsys.readouterr().err
+        for command in ("pipeline", "generate"):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 1
+            assert "population" in capsys.readouterr().err
+
+    def test_runtime_error_exits_2_on_both_routes(self, tmp_path, capsys):
+        # edgeless maps load and simulate, but jaccard_edges cannot weigh them
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps([{"concepts": ["A", "B"], "edges": []}] * 6))
+        path = write_config(
+            tmp_path, {"source": "import", "population_path": str(pop), "k": 2,
+                       "metric": "jaccard_edges",
+                       "output_concept": "A", "stabilization_concept": "A"}
+        )
+        failure = "error: metric 'jaccard_edges' failed on tie (0, 1)"
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert failure in capsys.readouterr().err
+        staged = str(tmp_path / "staged")
+        assert main(["generate", "--config", path, "--out", staged]) == 0
+        assert main(["weigh", "--config", path, "--out", staged]) == 2
+        assert failure in capsys.readouterr().err
 
     def test_stage_missing_inputs_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
