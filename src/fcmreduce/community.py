@@ -4,11 +4,16 @@ Two detectors are provided: a randomized label-propagation scheme in which
 every node repeatedly adopts the class dominating its neighborhood (summed
 by similarity weight), and a deterministic agglomerative scheme that merges
 the community pair with the largest positive gain in weighted modularity
-until no merge helps.
+until no merge helps. The agglomerative scheme is the greedy heap method of
+Clauset, Newman & Moore: candidate merges wait in a max-heap with lazy
+deletion (an entry is dropped when popped if a community in it has merged
+away or its gain has changed), and the heap is rebuilt whenever it holds
+more than twice as many entries as there are ties.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +142,22 @@ def weighted_modularity(graph: SocialGraph, weights: dict, assignment: dict) -> 
 
 
 def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
-    """Greedy agglomeration: starting from singletons, repeatedly merge the
-    community pair with the largest strictly positive modularity gain
-    (equal gains broken by the lowest community-id pair); stop when no merge
-    increases modularity. Deterministic."""
+    """Greedy agglomeration of Clauset, Newman & Moore (Phys. Rev. E 70,
+    066111, 2004) on weighted modularity (Newman, Phys. Rev. E 70, 056131,
+    2004): starting from singletons, repeatedly merge the community pair
+    with the largest strictly positive modularity gain (equal gains broken
+    by the lowest community-id pair); stop when no merge increases
+    modularity. Deterministic.
+
+    The candidate pairs sit in a lazy max-heap of (-gain, a, b) with a < b,
+    so the heap order is the tie-break. Merging b into a changes only the
+    gains of a's pairs, so a's new row is pushed and older entries are left
+    in place: a popped entry is skipped when either community has merged
+    away or its gain differs from a fresh evaluation (an entry that still
+    matches is the current one). When the heap holds more than twice the
+    tie count it is rebuilt from its distinct current entries; live pairs
+    never outnumber the ties, which bounds memory.
+    """
     _check_coverage(graph, weights)
     m = sum(weights[t].similarity for t in graph.ties)
     labels = {v: v for v in graph.nodes}
@@ -155,24 +172,25 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
         k[j] += s
         between[i][j] = between[i].get(j, 0.0) + s
         between[j][i] = between[j].get(i, 0.0) + s
-    alive = set(graph.nodes)
+    members: dict = {v: [v] for v in graph.nodes}
     q_running = weighted_modularity(graph, weights, labels)
-    while len(alive) > 1:
-        best_gain = 0.0
-        best_pair = None
-        # ascending pair order makes the lowest pair win on equal gains
-        for a in sorted(alive):
-            for b in sorted(between[a]):
-                if b <= a:
-                    continue
-                gain = between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (a, b)
-        if best_pair is None:
-            break
-        q_running += best_gain
-        a, b = best_pair
+
+    def gain(a, b):
+        return between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
+
+    def current(entry):
+        neg_gain, a, b = entry
+        return a in k and b in k and -neg_gain == gain(a, b)
+
+    heap = [(-g, a, b) for a, b in graph.ties if (g := gain(a, b)) > 0.0]
+    heapq.heapify(heap)
+    compact_above = 2 * len(graph.ties)
+    while heap:
+        entry = heapq.heappop(heap)
+        if not current(entry):
+            continue
+        neg_gain, a, b = entry
+        q_running += -neg_gain
         # merge b into a (a < b keeps the lowest id as the community label)
         k[a] += k[b]
         for other, s in between[b].items():
@@ -184,10 +202,20 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
         between[a].pop(b, None)
         del between[b]
         del k[b]
-        alive.discard(b)
-        for node, lab in labels.items():
-            if lab == b:
-                labels[node] = a
+        members[a] += members.pop(b)
+        for other in between[a]:
+            lo, hi = (a, other) if a < other else (other, a)
+            g = gain(lo, hi)
+            if g > 0.0:
+                heapq.heappush(heap, (-g, lo, hi))
+        if len(heap) > compact_above:
+            # set(): a merge that leaves a gain bit-identical (a tiny K
+            # absorbed by a large one) pushes a second current entry
+            heap = [e for e in set(heap) if current(e)]
+            heapq.heapify(heap)
+    for comm, nodes in members.items():
+        for node in nodes:
+            labels[node] = comm
     # each accepted merge had strictly positive gain, so modularity is
     # non-decreasing; the accumulated gains must match a fresh evaluation
     q_final = weighted_modularity(graph, weights, labels)

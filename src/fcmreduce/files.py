@@ -1,15 +1,16 @@
 """Every read and write of a work-directory file.
 
-Stage files are UTF-8 text. A reader turns a missing, undecodable or
-malformed file into ConfigError (CLI exit 1); each format's row parsing
-and checks stay with the module that owns the format. A writer writes
-`<path>.tmp` and then replaces the target, so a failed write leaves the
-previous file untouched.
+Stage files are UTF-8 text. A reader turns a missing, unreadable (a
+directory, say), undecodable or malformed file into ConfigError (CLI exit
+1); each format's row parsing and checks stay with the module that owns
+the format. A writer writes `<path>.tmp` and then replaces the target, so
+a failed write leaves the previous file untouched.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -44,22 +45,26 @@ def write_json(path, value) -> None:
 
 
 def read_csv(path, header: list, what: str):
-    """Yield the non-blank rows of a CSV file whose first row is `header`."""
+    """Yield the non-blank rows of a CSV file whose first row is `header`.
+    The whole file is decoded first, so a byte that is not UTF-8 is reported
+    as such rather than as a bad header or row before it."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found != header:
-                raise ConfigError(f"unexpected {what} header {found!r} in {path}")
-            for row in reader:
-                if row:
-                    yield row
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))
+        found = next(reader, None)
+        if found != header:
+            raise ConfigError(f"unexpected {what} header {found!r} in {path}")
+        for row in reader:
+            if row:
+                yield row
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise ConfigError(f"{what} file {path} is not valid CSV: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
 def read_json(path, what: str):
@@ -73,3 +78,5 @@ def read_json(path, what: str):
     except (json.JSONDecodeError, RecursionError) as exc:
         # json raises RecursionError on arrays or objects nested too deeply
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from exc

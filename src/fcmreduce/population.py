@@ -15,7 +15,9 @@ import networkx as nx
 import numpy as np
 
 from .errors import ChannelError, ConfigError, ContractError, GenerationError
-from .fcm import Fcm, fcm_from_dict, fcm_to_dict
+# fcm_to_dict defines the record export_population writes; perfbench/layers.py
+# wraps it under this module's name
+from .fcm import Fcm, fcm_from_dict, fcm_to_dict  # noqa: F401
 from .files import read_csv, read_json, write_csv, writing
 from .seeding import int_seed, rng_for
 
@@ -231,16 +233,35 @@ def make_agents(fcms: list[Fcm]) -> list[Agent]:
 # Population file I/O: a JSON array of FCM objects.
 
 def export_population(fcms: list[Fcm], path) -> None:
-    """Write one FCM object per line. Each record is encoded on its own, so
-    the whole array is never held as one string or run through the
-    pure-Python indenting encoder."""
+    """Write one FCM object per line, in the bytes
+    `json.dumps(fcm_to_dict(f), sort_keys=True)` would give. Each record is
+    formatted directly: labels are encoded once per map, numbers are written
+    with float.__repr__ (as json does), and keys come in sorted order."""
     with writing(path) as fh:
         fh.write("[\n")
         for idx, f in enumerate(fcms):
             if idx:
                 fh.write(",\n")
-            fh.write(json.dumps(fcm_to_dict(f), sort_keys=True))
+            fh.write(_population_record(f))
         fh.write("\n]\n")
+
+
+def _population_record(f: Fcm) -> str:
+    labels = [json.dumps(c) for c in f.concepts]
+    activation = ", ".join(
+        f"{label}: {float.__repr__(v)}"
+        for _, label, v in sorted(zip(f.concepts, labels, f.activation.tolist()))
+        if v != 0.0
+    )
+    src, tgt = np.nonzero(f.weights)
+    edges = ", ".join(
+        f'{{"source": {labels[i]}, "target": {labels[j]}, "weight": {float.__repr__(w)}}}'
+        for i, j, w in zip(src.tolist(), tgt.tolist(), f.weights[src, tgt].tolist())
+    )
+    return (
+        f'{{"activation": {{{activation}}}, "concepts": [{", ".join(labels)}], '
+        f'"edges": [{edges}]}}'
+    )
 
 
 def import_population(path) -> list[Fcm]:

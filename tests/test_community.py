@@ -1,11 +1,15 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmreduce.community import (
     CommunityStats,
     Partition,
+    _densify,
     agglomerative_modularity,
     chinese_whispers,
     export_partition,
@@ -69,6 +73,79 @@ def brute_force_best_two_partition(graph, weights):
     best = int(np.argmax(q))
     side_a = frozenset(v for v in range(n) if membership[best, v])
     return side_a, float(q[best])
+
+
+def scan_agglomerative(graph, weights):
+    """Reference agglomeration: after every merge, rescan all live pairs in
+    ascending order for the largest strictly positive modularity gain. The
+    heap-driven detector must give the same assignment."""
+    m = sum(weights[t].similarity for t in graph.ties)
+    labels = {v: v for v in graph.nodes}
+    if m == 0.0:
+        return _densify(labels)
+    k = {v: 0.0 for v in graph.nodes}
+    between = {v: {} for v in graph.nodes}
+    for i, j in graph.ties:
+        s = weights[(i, j)].similarity
+        k[i] += s
+        k[j] += s
+        between[i][j] = between[i].get(j, 0.0) + s
+        between[j][i] = between[j].get(i, 0.0) + s
+    alive = set(graph.nodes)
+    while len(alive) > 1:
+        best_gain = 0.0
+        best_pair = None
+        for a in sorted(alive):
+            for b in sorted(between[a]):
+                if b <= a:
+                    continue
+                gain = between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_pair = (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        k[a] += k[b]
+        for other, s in between[b].items():
+            if other == a:
+                continue
+            between[a][other] = between[a].get(other, 0.0) + s
+            between[other][a] = between[other].get(a, 0.0) + s
+            del between[other][b]
+        between[a].pop(b, None)
+        del between[b]
+        del k[b]
+        alive.discard(b)
+        for node, lab in labels.items():
+            if lab == b:
+                labels[node] = a
+    return _densify(labels)
+
+
+@st.composite
+def agglomeration_cases(draw):
+    """Small graphs with isolated nodes, components split at a drawn node id
+    (no tie crosses it), and weights that are uniform (pairs of equal degree
+    have equal gains, so the tie-break decides), drawn from three values,
+    arbitrary, or all zero in similarity."""
+    n = draw(st.integers(1, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    split = draw(st.integers(0, n))
+    ties = sorted((i, j) for i, j in chosen if (i < split) == (j < split))
+    mode = draw(st.sampled_from(("uniform", "three", "any", "zero")))
+    per_tie = {"min_size": len(ties), "max_size": len(ties)}
+    if mode == "uniform":
+        ds = [draw(st.floats(0.0, 5.0))] * len(ties)
+    elif mode == "three":
+        ds = draw(st.lists(st.sampled_from((0.0, 0.5, 2.0)), **per_tie))
+    elif mode == "any":
+        ds = draw(st.lists(st.floats(0.0, 5.0), **per_tie))
+    else:
+        ds = [1e4] * len(ties)  # exp(-1e4) underflows to a similarity of 0.0
+    graph = SocialGraph(tuple(range(n)), tuple(ties))
+    return graph, {t: TieWeight(d) for t, d in zip(ties, ds)}
 
 
 class TestPartition:
@@ -194,6 +271,61 @@ class TestAgglomerative:
         p = agglomerative_modularity(graph, weights)
         assert p.assignment[2] != p.assignment[3]
         assert p.count == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(agglomeration_cases())
+    def test_heap_matches_scan_oracle(self, case):
+        graph, weights = case
+        assert agglomerative_modularity(graph, weights).assignment == scan_agglomerative(
+            graph, weights
+        )
+
+    @pytest.mark.parametrize(
+        "kind, uniform",
+        [("scale_free", False), ("small_world", False), ("scale_free", True)],
+    )
+    def test_heap_matches_scan_oracle_on_larger_graphs(self, kind, uniform):
+        # 300 nodes: enough merges for the heap to be rebuilt at least once
+        if kind == "scale_free":
+            g = nx.barabasi_albert_graph(300, 5, seed=7)
+        else:
+            g = nx.watts_strogatz_graph(300, 6, 0.1, seed=7)
+        ties = sorted((min(e), max(e)) for e in g.edges())
+        graph = SocialGraph(tuple(g.nodes), tuple(ties))
+        rng = np.random.default_rng(7)
+        ds = np.full(len(ties), 0.5) if uniform else rng.uniform(0.0, 3.0, len(ties))
+        weights = {t: TieWeight(float(d)) for t, d in zip(ties, ds)}
+        assert agglomerative_modularity(graph, weights).assignment == scan_agglomerative(
+            graph, weights
+        )
+
+    def test_heap_stays_bounded_when_merges_leave_gains_unchanged(self, monkeypatch):
+        # leaves tied to a hub with a similarity below the hub degree's ulp:
+        # absorbing one leaves the hub's degree, and so every gain in its
+        # row, bit-identical, so each merge re-pushes entries still current
+        import heapq
+
+        import fcmreduce.community as community
+
+        n = 400
+        ties = [(0, j) for j in range(1, n)] + [(1, j) for j in range(10, n)]
+        ties += list(itertools.combinations(range(1, 10), 2))
+        graph = SocialGraph(tuple(range(n)), tuple(ties))
+        weights = {t: TieWeight(0.1 if max(t) < 10 else 60.0) for t in graph.ties}
+        longest = 0
+        push = heapq.heappush
+
+        def recording_push(heap, entry):
+            nonlocal longest
+            push(heap, entry)
+            longest = max(longest, len(heap))
+
+        monkeypatch.setattr(community.heapq, "heappush", recording_push)
+        p = agglomerative_modularity(graph, weights)
+        monkeypatch.undo()
+        assert p.assignment == scan_agglomerative(graph, weights)
+        # at most twice the ties before a rebuild, plus one merged row
+        assert 0 < longest <= 2 * len(ties) + n
 
     def test_modularity_drift_raises_contract_error(self, monkeypatch):
         # an explicit check, not an assert, so it also holds under python -O

@@ -244,6 +244,19 @@ class TestCliErrors:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "config file" in capsys.readouterr().err
 
+    def test_directory_as_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.mkdir()
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config file {path} cannot be read" in capsys.readouterr().err
+
+    def test_weigh_on_directory_population_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        (staged / "population.json").mkdir(parents=True)
+        assert main(["weigh", "--config", config_path, "--out", str(staged)]) == 1
+        assert "population file" in capsys.readouterr().err
+
     def test_weigh_on_non_utf8_population_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         staged = tmp_path / "staged"

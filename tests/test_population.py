@@ -1,8 +1,14 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmreduce.errors import ChannelError, ConfigError, ContractError, GenerationError
-from fcmreduce.fcm import Fcm
+from fcmreduce.fcm import Fcm, fcm_to_dict
 from fcmreduce.population import (
     CMAES_CONCEPTS,
     Agent,
@@ -45,6 +51,24 @@ OBESITY_TABLE = [
     ("Stress", "Food intake", 0.607),
     ("Stress", "Physical health", -0.694),
 ]
+
+
+@st.composite
+def written_fcms(draw):
+    """FCMs whose labels need escaping (quotes, backslashes, control and
+    non-ASCII characters), with sparse or empty weight matrices and
+    activations that may be all zero."""
+    n = draw(st.integers(1, 6))
+    alphabet = st.one_of(st.sampled_from('"\\\n\t/éü漢𝄞 '), st.characters(codec="utf-8"))
+    label = st.text(alphabet, min_size=1, max_size=6)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    sparse = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    weights = draw(st.lists(sparse, min_size=n * n, max_size=n * n))
+    activation = draw(st.one_of(
+        st.just([0.0] * n),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n, max_size=n),
+    ))
+    return Fcm(tuple(labels), np.reshape(weights, (n, n)), activation)
 
 
 class TestObesityFcm:
@@ -173,10 +197,6 @@ class TestPopulationIO:
         # files written with json.dump(..., indent=1) before the writer
         # streamed one record per line still import, and both forms hold
         # the same records
-        import json
-
-        from fcmreduce.fcm import fcm_to_dict
-
         fcms = generate_cmaes_style(4, seed=3)
         old, new = tmp_path / "old.json", tmp_path / "new.json"
         old.write_text(json.dumps([fcm_to_dict(f) for f in fcms], indent=1, sort_keys=True))
@@ -186,6 +206,18 @@ class TestPopulationIO:
             assert x.concepts == y.concepts
             assert np.array_equal(x.weights, y.weights)
             assert np.array_equal(x.activation, y.activation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(written_fcms(), min_size=1, max_size=4))
+    def test_bytes_equal_json_dumps_of_each_record(self, fcms):
+        expected = "[\n" + ",\n".join(
+            json.dumps(fcm_to_dict(f), sort_keys=True) for f in fcms
+        ) + "\n]\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "population.json")
+            export_population(fcms, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode("utf-8")
 
     def test_single_fcm_file(self, tmp_path):
         path = tmp_path / "one.json"

@@ -127,3 +127,14 @@ def test_input_beyond_parser_limits_is_config_error(stage_files, name, tmp_path)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError):
         READERS[name](str(path))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_byte_after_a_blank_first_line_is_reported_as_not_utf8(name, tmp_path):
+    """The file ends inside a multi-byte sequence, so the decoder fails only
+    at the end, after a blank first line that is itself a bad header; the
+    reader still names the encoding as the fault."""
+    path = tmp_path / name
+    path.write_bytes(b"\n\xc2")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        READERS[name](str(path))
