@@ -7,17 +7,16 @@ concept copies the higher agent's value into that concept and re-simulates
 its FCM to stabilization; the higher agent is unchanged. The run's output
 is the population mean of a designated concept after the final round.
 
-Runs are embarrassingly parallel: run i draws its own RNG stream from
-(master_seed, "run", i), so results are independent of execution schedule.
-The run loop works on packed per-agent arrays and settles each FCM with
-fcm.settle(), the kernel simulate() uses, so it equals the slow
-interact()-based reference bit for bit.
+Run i draws its own RNG stream from (master_seed, "run", i), so the original
+and reduced models share per-run seeds. The run loop works on packed
+per-agent arrays and settles each FCM with fcm.settle(), the kernel
+simulate() uses, so it equals the slow interact()-based reference bit for
+bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -178,17 +177,12 @@ def run_once_reference(agents: list[Agent], graph: SocialGraph, spec: RunSpec, r
 def run_distribution(
     agents: list[Agent], graph: SocialGraph, spec: RunSpec, workers: int = 1
 ) -> OutputDistribution:
-    """spec.repeats independent runs; run i uses the RNG stream derived from
-    (master_seed, "run", i), so the sample vector is identical whether runs
-    execute serially or in parallel."""
+    """spec.repeats independent runs, executed in index order in this
+    process; run i uses the RNG stream derived from (master_seed, "run", i).
+    workers is accepted and ignored."""
     model = _ModelArrays(agents, graph, spec)
     seeds = [seed_sequence(spec.master_seed, "run", i) for i in range(spec.repeats)]
-    if workers <= 1:
-        samples = [model.run(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(model.run, seeds))
-    return OutputDistribution(np.array(samples))
+    return OutputDistribution(np.array([model.run(s) for s in seeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +197,7 @@ def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_p
         [idx, repr(float(value))] for idx, value in enumerate(dist.samples)
     ))
     if sidecar_path is not None:
-        sidecar = {
-            "output_concept": spec.output_concept,
-            "rounds": spec.rounds,
-            "repeats": spec.repeats,
-            "master_seed": spec.master_seed,
-            "settings": {
-                "stabilization_concept": spec.settings.stabilization_concept,
-                "max_iterations": spec.settings.max_iterations,
-                "stabilization_tolerance": spec.settings.stabilization_tolerance,
-                "transfer": spec.settings.transfer,
-                "self_memory": spec.settings.self_memory,
-            },
-        }
-        write_json(sidecar_path, sidecar)
+        write_json(sidecar_path, asdict(spec))
 
 
 def import_distribution(path) -> OutputDistribution:

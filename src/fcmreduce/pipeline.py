@@ -95,7 +95,8 @@ FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved configuration for one pipeline execution."""
+    """Resolved configuration for one pipeline execution. workers is
+    accepted and recorded in report.json, but ignored: runs are serial."""
 
     source: str = "cmaes-style"
     count: int = 100
@@ -163,6 +164,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown community algorithm {self.algorithm!r}; valid: {COMMUNITY_ALGORITHMS}"
             )
+        if self.jitter < 0:
+            raise ConfigError("jitter must be >= 0")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.kl_bins < 1:
@@ -297,7 +302,7 @@ def stage_reduce(
 def stage_simulate(
     cfg: PipelineConfig, agents: list[Agent], graph: SocialGraph
 ) -> OutputDistribution:
-    return run_distribution(agents, graph, cfg.run_spec(), workers=cfg.workers)
+    return run_distribution(agents, graph, cfg.run_spec())
 
 
 def stage_compare(
@@ -469,6 +474,8 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
 def stage_reduce_files(cfg: PipelineConfig, out_dir) -> None:
     agents, graph = _load_model(out_dir)
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
+    if set(partition.assignment) != set(graph.nodes):
+        raise ConfigError("partition.csv does not assign exactly the agents of topology.csv")
     _write_reduced(out_dir, stage_reduce(cfg, agents, graph, partition))
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestRunDistribution:
         serial = run_distribution(agents, graph, spec, workers=1)
         parallel = run_distribution(agents, graph, spec, workers=4)
         assert np.array_equal(serial.samples, parallel.samples)
+
+    def test_workers_starts_no_thread(self, monkeypatch):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=2, repeats=6, master_seed=5)
+        serial = run_distribution(agents, graph, spec)
+
+        def no_threads(self):
+            raise AssertionError("run_distribution started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        dist = run_distribution(agents, graph, spec, workers=4)
+        assert np.array_equal(dist.samples, serial.samples)
 
     def test_deterministic_model_constant_samples(self):
         agents = [zero_weight_agent(0, 0.4), zero_weight_agent(1, 0.9)]

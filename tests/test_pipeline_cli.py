@@ -60,6 +60,10 @@ class TestConfig:
                 {"source": "import", "population_path": str(tmp_path / "missing.json")}
             )
 
+    def test_negative_jitter_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="jitter"):
+            config_from_dict({"source": "obesity-variants", "jitter": -1})
+
     def test_default_concepts_per_source(self):
         assert PipelineConfig(source="cmaes-style").watched_concept("output") == "Awareness"
         assert PipelineConfig(source="obesity-variants").watched_concept("output") == "Obesity"
@@ -71,15 +75,14 @@ class TestConfig:
         assert cfg.seed == 99
 
 
-# Bounds a sub-spec checks, bounds only PipelineConfig checks, wrong types,
-# and a jitter that only the population stage rejects.
+# Bounds a sub-spec checks, bounds only PipelineConfig checks, and wrong types.
 BAD_CONFIGS = [
     {"k": 3}, {"count": 1}, {"topology": "random", "p": 2},
     {"rounds": 0}, {"node_bins": 1}, {"tsp_ensemble": 0}, {"epsilon": -1},
     {"max_iterations": 0}, {"tolerance": 0},
     *({key: 2.0} for key in ("rounds", "repeats", "count", "k", "max_iterations",
                              "tsp_ensemble", "node_bins", "kl_bins")),
-    {"kl_alpha": 0}, {"kl_bins": 0}, {"max_rounds": 0},
+    {"kl_alpha": 0}, {"kl_bins": 0}, {"max_rounds": 0}, {"workers": 0},
     {"self_memory": "no"}, {"seed": "abc"},
     {"source": "obesity-variants", "jitter": -1},
     {"source": "import", "stabilization_concept": "Awareness"},  # no output_concept
@@ -383,6 +386,26 @@ class TestCliErrors:
         assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
         assert "ties of topology.csv" in capsys.readouterr().err
         assert not os.path.exists(staged / "partition.csv")
+
+    @pytest.mark.parametrize("edit", ["missing row", "extra row"])
+    def test_reduce_rejects_partition_not_of_topology(self, tmp_path, capsys, edit):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh", "cluster"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        partition = staged / "partition.csv"
+        header, *rows = partition.read_text().splitlines(keepends=True)
+        if edit == "missing row":
+            # drop an agent whose community keeps another member, so the
+            # ids stay dense and the file itself still reads
+            comms = [row.split(",")[1] for row in rows]
+            rows.pop(next(i for i, c in enumerate(comms) if comms.count(c) > 1))
+        else:
+            rows.append("999,0\n")
+        partition.write_text(header + "".join(rows))
+        assert main(["reduce", "--config", config_path, "--out", str(staged)]) == 1
+        assert "agents of topology.csv" in capsys.readouterr().err
+        assert not os.path.exists(staged / "provenance.json")
 
     def test_cluster_before_weigh_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
