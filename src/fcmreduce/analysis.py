@@ -17,7 +17,7 @@ from .community import CommunityStats
 from .errors import ReportError
 from .files import write_csv
 from .harness import OutputDistribution
-from .similarity import kl_from_counts
+from .similarity import kl_from_samples
 
 
 def output_kl(
@@ -37,10 +37,7 @@ def output_kl(
     hi = max(s.max(), o.max())
     if lo == hi:
         return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
-    s_counts, _ = np.histogram(s, bins=edges)
-    o_counts, _ = np.histogram(o, bins=edges)
-    return kl_from_counts(s_counts, o_counts, alpha)
+    return kl_from_samples(s, o, np.linspace(lo, hi, bins + 1), alpha)
 
 
 def summarize(dist: OutputDistribution) -> dict:

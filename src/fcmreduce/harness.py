@@ -201,12 +201,19 @@ def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_p
 
 
 def import_distribution(path) -> OutputDistribution:
+    """Read a distribution CSV. Its run_index column must read 0..n-1 in
+    file order: sample i is the run seeded from (master_seed, "run", i)."""
     samples = []
     for row in read_csv(path, _DISTRIBUTION_HEADER, "distribution"):
         try:
-            samples.append(float(row[1]))
+            index, value = int(row[0]), float(row[1])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
+        if index != len(samples):
+            raise ConfigError(
+                f"distribution row {row!r} in {path} should have run_index {len(samples)}"
+            )
+        samples.append(value)
     if not samples:
         raise ConfigError(f"distribution file {path} holds no samples")
     try:

@@ -335,19 +335,36 @@ class PipelineResult:
     report: FidelityReport
 
 
+def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
+    """One PipelineResult per (topology, metric, algorithm) cell of cfg, in
+    that nesting order. The population is built once; the graph and the
+    original distribution once per topology; the tie weights once per
+    (topology, metric)."""
+    # each topology's knobs (p, k, beta, m) are checked before any work
+    top_cfgs = [replace(cfg, topology=topology) for topology in topologies]
+    agents = stage_population(cfg)
+    for top_cfg in top_cfgs:
+        graph = stage_topology(top_cfg, agents)
+        original = stage_simulate(top_cfg, agents, graph)
+        for metric in metrics:
+            metric_cfg = replace(top_cfg, metric=metric)
+            weights = stage_weigh(metric_cfg, agents, graph)
+            for algorithm in algorithms:
+                cell = replace(metric_cfg, algorithm=algorithm)
+                partition = stage_cluster(cell, graph, weights)
+                reduced = stage_reduce(cell, agents, graph, partition)
+                simplified = stage_simulate(cell, reduced.agents, reduced.graph)
+                report = stage_compare(
+                    cell, original, simplified, reduced.removed_count, partition
+                )
+                yield PipelineResult(
+                    agents, graph, weights, partition, reduced, original, simplified, report
+                )
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
     """Execute the whole pipeline; write all artifacts when out_dir is set."""
-    agents = stage_population(cfg)
-    graph = stage_topology(cfg, agents)
-    original = stage_simulate(cfg, agents, graph)
-    weights = stage_weigh(cfg, agents, graph)
-    partition = stage_cluster(cfg, graph, weights)
-    reduced = stage_reduce(cfg, agents, graph, partition)
-    simplified = stage_simulate(cfg, reduced.agents, reduced.graph)
-    report = stage_compare(cfg, original, simplified, reduced.removed_count, partition)
-    result = PipelineResult(
-        agents, graph, weights, partition, reduced, original, simplified, report
-    )
+    (result,) = _cells(cfg, (cfg.topology,), (cfg.metric,), (cfg.algorithm,))
     if out_dir is not None:
         write_artifacts(result, cfg, out_dir)
     return result
@@ -361,8 +378,7 @@ def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> Non
     _write_reduced(out_dir, result.reduced)
     _write_distribution(out_dir, cfg, result.original, "original")
     _write_distribution(out_dir, cfg, result.simplified, "reduced")
-    export_long_format(result.original, result.simplified, os.path.join(out_dir, "violin.csv"))
-    _write_report(out_dir, result.report)
+    _write_comparison(out_dir, result.original, result.simplified, result.report)
 
 
 # One writer per work-directory file, shared by write_artifacts and the
@@ -399,39 +415,25 @@ def _write_distribution(out_dir, cfg: PipelineConfig, dist: OutputDistribution, 
     )
 
 
-def _write_report(out_dir, report: FidelityReport) -> None:
+def _write_comparison(
+    out_dir, original: OutputDistribution, simplified: OutputDistribution, report: FidelityReport
+) -> None:
+    export_long_format(original, simplified, os.path.join(out_dir, "violin.csv"))
     with writing(os.path.join(out_dir, "report.json")) as fh:
         fh.write(report_to_json(report))
 
 
 # ---------------------------------------------------------------------------
 # Sweep mode: the cartesian product of all metrics x both community
-# algorithms x all three topologies, one CSV row per cell. The population is
-# built once; topology, channels, and the original distribution are reused
-# across every cell that shares a topology.
+# algorithms x all three topologies, one CSV row per cell; each row is the
+# run_pipeline report of its cell.
 
 def run_sweep(cfg: PipelineConfig, out_dir) -> list:
-    # each topology's knobs (p, k, beta, m) are checked before any work
-    top_cfgs = [replace(cfg, topology=topology) for topology in TOPOLOGY_KINDS]
-    os.makedirs(out_dir, exist_ok=True)
-    agents = stage_population(cfg)
     rows = []
-    for top_cfg in top_cfgs:
-        topology = top_cfg.topology
-        graph = stage_topology(top_cfg, agents)
-        original = stage_simulate(top_cfg, agents, graph)
-        for metric in METRIC_KINDS:
-            cell_base = replace(top_cfg, metric=metric)
-            weights = stage_weigh(cell_base, agents, graph)
-            for algorithm in COMMUNITY_ALGORITHMS:
-                cell = replace(cell_base, algorithm=algorithm)
-                partition = stage_cluster(cell, graph, weights)
-                reduced = stage_reduce(cell, agents, graph, partition)
-                simplified = stage_simulate(cell, reduced.agents, reduced.graph)
-                report = stage_compare(
-                    cell, original, simplified, reduced.removed_count, partition
-                )
-                rows.append(sweep_row(report, topology, metric, algorithm))
+    for result in _cells(cfg, TOPOLOGY_KINDS, METRIC_KINDS, COMMUNITY_ALGORITHMS):
+        cell = result.report.config
+        rows.append(sweep_row(result.report, cell["topology"], cell["metric"], cell["algorithm"]))
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
     write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
     return rows
@@ -502,11 +504,17 @@ def stage_compare_files(
 ) -> FidelityReport:
     original = import_distribution(original_path or _distribution_path(out_dir, "original"))
     simplified = import_distribution(simplified_path or _distribution_path(out_dir, "reduced"))
+    if len(simplified.samples) != len(original.samples):
+        # the two runs pair up by their shared per-run seeds
+        raise ConfigError(
+            f"the original distribution holds {len(original.samples)} samples "
+            f"but the reduced one {len(simplified.samples)}"
+        )
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
     provenance = import_provenance(os.path.join(out_dir, "provenance.json"))
     removed = sum(len(e["members"]) for e in provenance["communities"].values()) - len(
         provenance["communities"]
     )
     report = stage_compare(cfg, original, simplified, removed, partition)
-    _write_report(out_dir, report)
+    _write_comparison(out_dir, original, simplified, report)
     return report

@@ -81,9 +81,6 @@ class SocialGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def degree(self, node: int) -> int:
-        return sum(1 for i, j in self.ties if node in (i, j))
-
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -349,7 +346,7 @@ def import_topology(path, nodes) -> SocialGraph:
             raise ConfigError(f"malformed topology row {row!r} in {path}: {exc}") from exc
         ties.append((i, j))
         if label:
-            channels[(i, j) if i < j else (j, i)] = label
+            channels[(i, j)] = label
     try:
         return SocialGraph(tuple(nodes), tuple(ties), channels or None)
     except ContractError as exc:

@@ -353,20 +353,11 @@ def distance(
     return compare(feature(a, cfg, seed), feature(b, cfg, seed), cfg)
 
 
+# The scalar forms the acceptance tests import; every other pairwise
+# distance is distance(metric, a, b, config, seed).
+
 def concept_count_distance(a: Fcm, b: Fcm) -> float:
     return distance("concept_count", a, b)
-
-
-def density_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    return distance("density", a, b, MetricConfig(view=view))
-
-
-def rt_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    return distance("rt_ratio", a, b, MetricConfig(view=view))
-
-
-def clustering_distance(a: Fcm, b: Fcm, view: StructuralView) -> float:
-    return distance("clustering", a, b, MetricConfig(view=view))
 
 
 def tsp_distance(
@@ -379,30 +370,6 @@ def tsp_distance(
 ) -> float:
     return distance("tsp", a, b, MetricConfig(view, tsp_ensemble=ensemble_size,
                                               tsp_swaps_per_edge=swaps_per_edge), seed)
-
-
-def jaccard_edge_distance(a: Fcm, b: Fcm) -> float:
-    return distance("jaccard_edges", a, b)
-
-
-def ks_edge_distance(a: Fcm, b: Fcm) -> float:
-    return distance("ks_edges", a, b)
-
-
-def edge_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    return distance("kl_edges", a, b, MetricConfig(discretization=disc))
-
-
-def node_kl_distance(a: Fcm, b: Fcm, disc: DiscretizationSpec) -> float:
-    return distance("kl_nodes", a, b, MetricConfig(discretization=disc))
-
-
-def centrality_cosine_distance(a: Fcm, b: Fcm, kind: str, view: StructuralView) -> float:
-    return distance("centrality_cosine", a, b, MetricConfig(view=view, centrality=kind))
-
-
-def compare_graphs_distance(a: Fcm, b: Fcm) -> float:
-    return distance("compare_graphs", a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmreduce.analysis import sweep_row
 from fcmreduce.cli import main
 from fcmreduce.errors import ConfigError
 from fcmreduce.pipeline import (
@@ -199,20 +200,21 @@ class TestStageComposition:
         for name in (
             "population.json", "topology.csv", "ties.csv", "partition.csv",
             "reduced_population.json", "reduced_topology.csv", "provenance.json",
-            "distribution_original.csv", "distribution_reduced.csv", "report.json",
+            "distribution_original.csv", "distribution_reduced.csv",
+            "runspec_original.json", "runspec_reduced.json", "violin.csv", "report.json",
         ):
             assert (mono / name).read_bytes() == (staged / name).read_bytes(), name
+        assert sorted(os.listdir(mono)) == sorted(os.listdir(staged))
 
 
 class TestSweep:
+    SMALL = {
+        "source": "cmaes-style", "count": 18, "k": 4, "m": 2, "p": 0.25,
+        "rounds": 1, "repeats": 2, "tsp_ensemble": 5, "tsp_swaps_per_edge": 3, "seed": 13,
+    }
+
     def test_sweep_emits_full_grid(self, tmp_path):
-        cfg = config_from_dict(
-            {
-                "source": "cmaes-style", "count": 18, "k": 4, "m": 2, "p": 0.25,
-                "rounds": 1, "repeats": 2, "tsp_ensemble": 5,
-                "tsp_swaps_per_edge": 3, "seed": 13,
-            }
-        )
+        cfg = config_from_dict(self.SMALL)
         rows = run_sweep(cfg, str(tmp_path / "sweep"))
         assert len(rows) == 11 * 2 * 3
         with open(tmp_path / "sweep" / "sweep.csv") as fh:
@@ -221,6 +223,18 @@ class TestSweep:
         assert lines[0][:4] == ["topology", "metric", "algorithm", "kl"]
         combos = {(r[0], r[1], r[2]) for r in lines[1:]}
         assert len(combos) == 66
+
+    def test_sweep_rows_equal_pipeline_reports(self, tmp_path):
+        sweep = run_sweep(config_from_dict(self.SMALL), str(tmp_path / "sweep"))
+        rows = {tuple(row[:3]): row for row in sweep}
+        for cell in (
+            ("random", "tsp", "agglomerative"),
+            ("small_world", "kl_nodes", "chinese_whispers"),
+            ("scale_free", "compare_graphs", "chinese_whispers"),
+        ):
+            names = dict(zip(("topology", "metric", "algorithm"), cell))
+            result = run_pipeline(config_from_dict(dict(self.SMALL, **names)))
+            assert rows[cell] == sweep_row(result.report, *cell)
 
     def test_knob_bad_for_another_topology_rejected_before_any_work(self, tmp_path):
         # k=3 is no small-world ring degree; the random topology ignores k
@@ -315,6 +329,25 @@ class TestCliErrors:
         )
         assert code == 1
         assert "malformed distribution row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("run_index,output_value\n5,0.5\n5,0.7\n", "should have run_index 0"),
+        ("run_index,output_value\n0,0.5\n", "4 samples but the reduced one 1"),
+    ], ids=["repeated run index", "one sample against four"])
+    def test_compare_on_unpaired_distribution_exits_1(self, tmp_path, capsys, text, message):
+        # reduced sample i pairs with original sample i by the shared run seed
+        config_path = write_config(tmp_path, {"repeats": 4})
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        simplified = tmp_path / "simplified.csv"
+        simplified.write_text(text)
+        code = main(
+            ["compare", "--config", config_path, "--out", str(out),
+             "--simplified", str(simplified)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_compare_on_malformed_partition_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

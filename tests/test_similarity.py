@@ -23,24 +23,14 @@ from fcmreduce.similarity import (
     MetricConfig,
     StructuralView,
     TieWeight,
-    centrality_cosine_distance,
     clustering_coefficient,
-    clustering_distance,
-    compare_graphs_distance,
-    concept_count_distance,
     density,
-    density_distance,
     distance,
-    edge_kl_distance,
     export_tie_weights,
     import_tie_weights,
-    jaccard_edge_distance,
     kl_from_counts,
     kl_from_samples,
-    ks_edge_distance,
     ks_statistic,
-    node_kl_distance,
-    rt_distance,
     rt_ratio,
     triad_profile,
     tsp_distance,
@@ -71,15 +61,15 @@ def fcm_from_adjacency(adj, activation=None):
 class TestConceptCount:
     def test_worked_example_six_seven(self):
         a, b = fcm_with_n_concepts(6), fcm_with_n_concepts(7)
-        assert concept_count_distance(a, b) == pytest.approx(1 / 13, abs=1e-12)
+        assert distance("concept_count", a, b) == pytest.approx(1 / 13, abs=1e-12)
 
     def test_identical_counts(self):
         a, b = fcm_with_n_concepts(4), fcm_with_n_concepts(4)
-        assert concept_count_distance(a, b) == 0.0
+        assert distance("concept_count", a, b) == 0.0
 
     def test_one_three(self):
         one = Fcm(("A",), [[0.0]], [0.0])
-        assert concept_count_distance(one, fcm_with_n_concepts(3)) == 0.5
+        assert distance("concept_count", one, fcm_with_n_concepts(3)) == 0.5
 
 
 class TestDensity:
@@ -93,7 +83,7 @@ class TestDensity:
 
     def test_self_distance_zero(self):
         f = build_obesity_fcm()
-        assert density_distance(f, f, VIEW0) == 0.0
+        assert distance("density", f, f, MetricConfig(view=VIEW0)) == 0.0
 
     def test_single_concept_undefined(self):
         with pytest.raises(MetricError):
@@ -132,7 +122,7 @@ class TestRtRatio:
 
     def test_self_distance_zero(self):
         f = build_obesity_fcm()
-        assert rt_distance(f, f, VIEW0) == 0.0
+        assert distance("rt_ratio", f, f, MetricConfig(view=VIEW0)) == 0.0
 
 
 class TestClustering:
@@ -150,7 +140,7 @@ class TestClustering:
 
     def test_self_distance_zero(self):
         f = build_obesity_fcm()
-        assert clustering_distance(f, f, VIEW0) == 0.0
+        assert distance("clustering", f, f, MetricConfig(view=VIEW0)) == 0.0
 
     def test_triangle_value(self):
         # directed 3-cycle: each node has 2 neighbors, 1 arc among them
@@ -355,39 +345,40 @@ class TestTsp:
 class TestJaccard:
     def test_identical(self):
         f = build_obesity_fcm()
-        assert jaccard_edge_distance(f, f) == 0.0
+        assert distance("jaccard_edges", f, f) == 0.0
 
     def test_disjoint_edge_sets(self):
         a = Fcm(("A", "B"), [[0, 0.4], [0, 0]], [0, 0])
         b = Fcm(("A", "B"), [[0, 0], [0.3, 0]], [0, 0])
-        assert jaccard_edge_distance(a, b) == 1.0
+        assert distance("jaccard_edges", a, b) == 1.0
 
     def test_worked_example(self):
         a = Fcm(("A", "B"), [[0, 0.4], [0, 0]], [0, 0])
         b = Fcm(("A", "B"), [[0, 0.2], [0, 0]], [0, 0])
-        assert jaccard_edge_distance(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert distance("jaccard_edges", a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_uses_absolute_weights(self):
         a = Fcm(("A", "B"), [[0, -0.4], [0, 0]], [0, 0])
         b = Fcm(("A", "B"), [[0, 0.4], [0, 0]], [0, 0])
-        assert jaccard_edge_distance(a, b) == 0.0
+        assert distance("jaccard_edges", a, b) == 0.0
 
     def test_both_empty_is_error(self):
         a = Fcm(("A",), [[0.0]], [0.0])
         with pytest.raises(MetricError):
-            jaccard_edge_distance(a, a)
+            distance("jaccard_edges", a, a)
 
 
 class TestCentrality:
     def test_identical(self):
         f = build_obesity_fcm()
         for kind in ("degree", "betweenness", "closeness"):
-            assert centrality_cosine_distance(f, f, kind, VIEW0) == 0.0
+            cfg = MetricConfig(view=VIEW0, centrality=kind)
+            assert distance("centrality_cosine", f, f, cfg) == 0.0
 
     def test_label_disjoint_orthogonal(self):
         a = Fcm(("A", "B"), [[0, 0.5], [0.5, 0]], [0, 0])
         b = Fcm(("C", "D"), [[0, 0.5], [0.5, 0]], [0, 0])
-        assert centrality_cosine_distance(a, b, "degree", VIEW0) == 0.5
+        assert distance("centrality_cosine", a, b, MetricConfig(view=VIEW0)) == 0.5
 
     def test_obesity_exercise_degree(self):
         f = build_obesity_fcm()
@@ -399,19 +390,20 @@ class TestCentrality:
         a = Fcm(("A", "B"), np.zeros((2, 2)), [0, 0])
         b = Fcm(("A", "B"), [[0, 0.5], [0, 0]], [0, 0])
         with pytest.raises(MetricError):
-            centrality_cosine_distance(a, b, "degree", VIEW0)
+            distance("centrality_cosine", a, b, MetricConfig(view=VIEW0))
 
     def test_betweenness_on_path(self):
         # A->B->C gives B all the betweenness; two copies agree
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 2] = 0.9
         a = Fcm(("A", "B", "C"), w, np.zeros(3))
-        assert centrality_cosine_distance(a, a, "betweenness", VIEW0) == 0.0
+        cfg = MetricConfig(view=VIEW0, centrality="betweenness")
+        assert distance("centrality_cosine", a, a, cfg) == 0.0
 
     def test_unknown_kind(self):
         f = build_obesity_fcm()
         with pytest.raises(MetricError):
-            centrality_cosine_distance(f, f, "pagerank", VIEW0)
+            distance("centrality_cosine", f, f, MetricConfig(view=VIEW0, centrality="pagerank"))
 
 
 class TestKl:
@@ -452,11 +444,11 @@ class TestKl:
 
     def test_symmetrized_tie_distance(self, rng):
         a, b = random_fcm(rng), random_fcm(rng)
-        assert node_kl_distance(a, b, DISC) == pytest.approx(
-            node_kl_distance(b, a, DISC), abs=1e-12
+        assert distance("kl_nodes", a, b, MetricConfig(discretization=DISC)) == pytest.approx(
+            distance("kl_nodes", b, a, MetricConfig(discretization=DISC)), abs=1e-12
         )
-        assert edge_kl_distance(a, b, DISC) == pytest.approx(
-            edge_kl_distance(b, a, DISC), abs=1e-12
+        assert distance("kl_edges", a, b, MetricConfig(discretization=DISC)) == pytest.approx(
+            distance("kl_edges", b, a, MetricConfig(discretization=DISC)), abs=1e-12
         )
 
 
@@ -473,7 +465,7 @@ def brute_force_ks(x, y):
 class TestKs:
     def test_identical(self):
         f = build_obesity_fcm()
-        assert ks_edge_distance(f, f) == 0.0
+        assert distance("ks_edges", f, f) == 0.0
 
     def test_fully_separated(self):
         assert ks_statistic([0.1, 0.2], [0.8, 0.9]) == 1.0
@@ -497,33 +489,33 @@ class TestKs:
         a = Fcm(("A",), [[0.0]], [0.0])
         b = build_obesity_fcm()
         with pytest.raises(MetricError):
-            ks_edge_distance(a, b)
+            distance("ks_edges", a, b)
 
 
 class TestCompareGraphs:
     def test_identical(self):
         f = build_obesity_fcm()
-        assert compare_graphs_distance(f, f) == 0.0
+        assert distance("compare_graphs", f, f) == 0.0
 
     def test_against_zero_fcm(self):
         a = build_obesity_fcm()
         b = Fcm(a.concepts, np.zeros((13, 13)), np.zeros(13))
-        assert compare_graphs_distance(a, b) == 1.0
+        assert distance("compare_graphs", a, b) == 1.0
 
     def test_worked_example(self):
         a = Fcm(("A", "B"), [[0, 0.5], [0, 0]], [0, 0])
         b = Fcm(("A", "B"), [[0, 0.3], [0, 0]], [0, 0])
-        assert compare_graphs_distance(a, b) == pytest.approx(0.25, abs=1e-12)
+        assert distance("compare_graphs", a, b) == pytest.approx(0.25, abs=1e-12)
 
     def test_both_zero(self):
         a = Fcm(("A",), [[0.0]], [0.0])
-        assert compare_graphs_distance(a, a) == 0.0
+        assert distance("compare_graphs", a, a) == 0.0
 
     def test_label_alignment(self):
         a = Fcm(("A", "B"), [[0, 0.5], [0, 0]], [0, 0])
         b = Fcm(("B", "C"), [[0, 0.5], [0, 0]], [0, 0])
         # no overlapping edges once aligned on the label union
-        d = compare_graphs_distance(a, b)
+        d = distance("compare_graphs", a, b)
         assert d == pytest.approx(math.sqrt(0.5) / 1.0, abs=1e-12)
 
 
