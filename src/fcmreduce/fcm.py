@@ -42,7 +42,8 @@ class Fcm:
             dupes = sorted({c for c in concepts if concepts.count(c) > 1})
             raise ContractError(f"duplicate concept labels: {dupes}")
         n = len(concepts)
-        w = np.array(self.weights, dtype=np.float64)
+        # C order: settle() sums over the rows of w, in source order
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if w.shape != (n, n):
             raise ContractError(f"weight matrix shape {w.shape} does not match {n} concepts")
         if not np.all(np.isfinite(w)) or np.any(np.abs(w) > 1.0):
@@ -111,35 +112,48 @@ class SimulationSettings:
             )
 
 
-def _update(wt: np.ndarray, a: np.ndarray, transfer: str, self_memory: bool) -> np.ndarray:
-    """One synchronous update; wt[r, s] is the weight of the edge s -> r.
+def _update(w: np.ndarray, a: np.ndarray, transfer: str, self_memory: bool) -> np.ndarray:
+    """One synchronous update; w[s, r] is the weight of the edge s -> r, as
+    Fcm.weights stores it.
 
-    Each concept's inputs are summed in source order (a running sum, not a
-    matrix product) and squashed with the scalar math.tanh / math.exp,
-    whose rounding differs from numpy's on some inputs, so every caller
-    gets the same floats. "tanh" is clamped below at 0 so node values keep
-    their [0, 1] range; "sigmoid" already lands there.
+    The arithmetic is fixed, because the harness's stored outputs depend on
+    it bit for bit:
+
+    - Concept r's input is the running sum of w[s, r] * a[s] in source order
+      s = 0, 1, ..., started from +0.0 (so an all-negative-zero column sums
+      to +0.0). A column reduction over the C-contiguous w adds whole rows
+      one after another, which gives exactly that sum for every concept.
+      With self-memory, a[r] is added last.
+    - "tanh" squashes with the scalar math.tanh, clamped below at 0 so node
+      values keep their [0, 1] range; "sigmoid" is 1 / (1 + math.exp(-x)),
+      which already lands there.
+
+    A BLAS matrix product (a @ w) sums in an order of its own choosing, and
+    np.tanh / np.exp round differently from math.* on some inputs, so
+    neither is used.
     """
-    # the sum starts from +0.0, so an all-negative-zero row sums to +0.0
-    x = 0.0 + np.cumsum(wt * a, axis=1)[:, -1]
+    # +0.0 first, whichever value add.reduce starts its sum from
+    x = 0.0 + np.add.reduce(w * a[:, None], axis=0)
     if self_memory:
         x = x + a
     if transfer == "tanh":
-        return np.array([max(math.tanh(v), 0.0) for v in x.tolist()])
-    return np.array([1.0 / (1.0 + math.exp(-v)) for v in x.tolist()])
+        tanh = math.tanh
+        return np.array([tanh(v) if v >= 0.0 else 0.0 for v in x.tolist()])
+    exp = math.exp
+    return np.array([1.0 / (1.0 + exp(-v)) for v in x.tolist()])
 
 
-def settle(wt: np.ndarray, a: np.ndarray, stab: int, settings: SimulationSettings):
+def settle(w: np.ndarray, a: np.ndarray, stab: int, settings: SimulationSettings):
     """Iterate _update() from a until concept stab stabilizes or the cap hits.
 
     The one simulation kernel: simulate() and the interaction harness both
-    call it. Returns (final_activation, iterations_taken, stabilized); a is
-    not mutated.
+    call it with Fcm.weights as w. Returns (final_activation,
+    iterations_taken, stabilized); a is not mutated.
     """
     transfer, self_memory = settings.transfer, settings.self_memory
     tol = settings.stabilization_tolerance
     for iteration in range(1, settings.max_iterations + 1):
-        nxt = _update(wt, a, transfer, self_memory)
+        nxt = _update(w, a, transfer, self_memory)
         delta = abs(nxt[stab] - a[stab])
         a = nxt
         if delta < tol:
@@ -148,16 +162,21 @@ def settle(wt: np.ndarray, a: np.ndarray, stab: int, settings: SimulationSetting
 
 
 def _checked_activation(fcm: Fcm, activation) -> np.ndarray:
+    """activation as a float array, held to Fcm's own activation contract:
+    one finite value in [0, 1] per concept."""
     a = np.array(activation, dtype=np.float64)
     if a.shape != (fcm.n,):
         raise ContractError(f"activation length {a.shape} does not match {fcm.n} concepts")
+    # NaN fails both comparisons, so it is rejected with the out-of-range
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ContractError("activation values must lie in [0, 1]")
     return a
 
 
 def step(fcm: Fcm, activation, settings: SimulationSettings) -> np.ndarray:
     """One synchronous update of every concept. Does not mutate its input."""
     a = _checked_activation(fcm, activation)
-    return _update(fcm.weights.T, a, settings.transfer, settings.self_memory)
+    return _update(fcm.weights, a, settings.transfer, settings.self_memory)
 
 
 def simulate(fcm: Fcm, activation, settings: SimulationSettings):
@@ -168,7 +187,7 @@ def simulate(fcm: Fcm, activation, settings: SimulationSettings):
     two consecutive iterations.
     """
     si = fcm.index_of(settings.stabilization_concept)
-    return settle(fcm.weights.T, _checked_activation(fcm, activation), si, settings)
+    return settle(fcm.weights, _checked_activation(fcm, activation), si, settings)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ its FCM to stabilization; the higher agent is unchanged. The run's output
 is the population mean of a designated concept after the final round.
 
 Run i draws its own RNG stream from (master_seed, "run", i), so the original
-and reduced models share per-run seeds. The run loop works on packed
-per-agent arrays and settles each FCM with fcm.settle(), the kernel
-simulate() uses, so it equals the slow interact()-based reference bit for
-bit.
+and reduced models share per-run seeds, and run_distribution makes its runs
+one after another in this process. The run loop keeps one activation array
+per agent and settles it with fcm.settle() on the agent's own Fcm.weights,
+the kernel and the weights simulate() uses, so run_once equals the slow
+interact()-based run_once_reference bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class _ModelArrays:
         ids = sorted(graph.nodes)
         pos = {v: p for p, v in enumerate(ids)}
         fcms = [by_id[v].fcm for v in ids]
-        self.wts = [np.ascontiguousarray(fcm.weights.T) for fcm in fcms]
+        self.weights = [fcm.weights for fcm in fcms]
         self.act0 = [fcm.activation for fcm in fcms]
         self.stab_idx = []
         self.out_idx = []
@@ -144,7 +145,7 @@ class _ModelArrays:
                 else:
                     low, idx, value = j, cj, vi
                 act[low][idx] = value
-                act[low] = settle(self.wts[low], act[low], self.stab_idx[low], settings)[0]
+                act[low] = settle(self.weights[low], act[low], self.stab_idx[low], settings)[0]
         return float(np.mean([a[o] for a, o in zip(act, self.out_idx)]))
 
 

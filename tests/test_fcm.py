@@ -19,6 +19,19 @@ from fcmreduce.fcm import (
 SETTINGS = SimulationSettings(stabilization_concept="A")
 
 
+def cumsum_oracle(w, a, transfer, self_memory):
+    """The settle kernel's former update, kept as a test oracle: each
+    concept's inputs summed in source order from +0.0 via a prefix sum over
+    the transposed weights, then scalar math.tanh clamped with max(), or
+    the scalar math.exp sigmoid."""
+    x = 0.0 + np.cumsum(w.T * a, axis=1)[:, -1]
+    if self_memory:
+        x = x + a
+    if transfer == "tanh":
+        return np.array([max(math.tanh(v), 0.0) for v in x.tolist()])
+    return np.array([1.0 / (1.0 + math.exp(-v)) for v in x.tolist()])
+
+
 def two_concept(w01=0.0, w10=0.0, a=(0.0, 0.0)):
     return Fcm(("A", "B"), [[0.0, w01], [w10, 0.0]], list(a))
 
@@ -43,6 +56,12 @@ class TestFcmConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ContractError):
             Fcm(("A", "B"), np.zeros((3, 3)), np.zeros(2))
+
+    def test_weights_stored_in_c_order(self):
+        w = np.asfortranarray([[0.0, 0.5], [-0.25, 0.0]])
+        f = Fcm(("A", "B"), w, np.zeros(2))
+        assert f.weights.flags.c_contiguous
+        assert np.array_equal(f.weights, w)
 
     def test_self_loop_allowed_when_explicit(self):
         f = Fcm(("A",), [[0.7]], [0.0])
@@ -163,7 +182,43 @@ class TestStep:
                         x += a[r]
                     v = math.tanh(x) if transfer == "tanh" else 1.0 / (1.0 + math.exp(-x))
                     expected.append(min(max(v, 0.0), 1.0))
-                assert step(f, a, s).tolist() == expected
+                assert step(f, a, s).tobytes() == np.array(expected).tobytes()
+
+    @given(
+        n=st.integers(min_value=1, max_value=32),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        special=st.floats(min_value=0.0, max_value=1.0),
+        fortran=st.booleans(),
+        zero_column=st.integers(min_value=-1, max_value=31),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_cumsum_oracle(self, n, seed, special, fortran, zero_column):
+        # step() against the expression the kernel used before it moved to
+        # the untransposed weights: a cumsum over w.T whose last column is
+        # kept, then max(tanh, 0). Compared as bytes, so -0.0 != +0.0.
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1.0, 1.0, (n, n))
+        odd_w = rng.choice(np.array([0.0, -0.0, 5e-324, -5e-324, -1.0]), (n, n))
+        w = np.where(rng.random((n, n)) < special, odd_w, w)
+        if zero_column < n:
+            w[:, zero_column] = -0.0  # every product is -0.0; the sum must be +0.0
+        a = 1.0 - rng.random(n)  # in (0, 1]
+        odd_a = rng.choice(np.array([0.0, -0.0, 5e-324, 1.0]), n)
+        a = np.where(rng.random(n) < special, odd_a, a)
+        f = Fcm(tuple(f"C{i}" for i in range(n)), np.asfortranarray(w) if fortran else w, a)
+        for transfer in ("tanh", "sigmoid"):
+            for self_memory in (True, False):
+                s = SimulationSettings("C0", transfer=transfer, self_memory=self_memory)
+                expected = cumsum_oracle(w, a, transfer, self_memory)
+                assert step(f, a, s).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_activation_outside_unit_interval_rejected(self, bad):
+        f = two_concept(w01=0.5)
+        with pytest.raises(ContractError, match=r"\[0, 1\]"):
+            step(f, [bad, 0.2], SETTINGS)
+        with pytest.raises(ContractError, match=r"\[0, 1\]"):
+            simulate(f, [0.2, bad], SETTINGS)
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -21,9 +22,12 @@ from fcmreduce.population import (
     SocialGraph,
     TopologySpec,
     assign_channels,
+    build_obesity_fcm,
     build_topology,
     generate_cmaes_style,
+    generate_variants,
     make_agents,
+    randomize_activations,
 )
 from fcmreduce.seeding import seed_sequence
 
@@ -277,3 +281,45 @@ class TestDistributionIO:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             import_distribution(tmp_path / "missing.csv")
+
+
+class TestGoldenSamples:
+    """sha256 of run_distribution's sample bytes for the paths the seed-42
+    benchmark digests do not reach (they all run tanh with self-memory).
+    Recorded before the settle kernel moved to the untransposed weights;
+    any change to the kernel's arithmetic changes these hashes."""
+
+    GOLDEN = {
+        ("cmaes", "sigmoid", True): (
+            "41ce855c39bfaf8ad7f51a198cb2dd226353f4b998e323a22bb1644269f26beb"
+        ),
+        ("cmaes", "tanh", False): (
+            "5a056c906f68c43fec5e400e5fdc104b1c0eac4860646bfb5d6a38565ef989b9"
+        ),
+        ("obesity", "sigmoid", True): (
+            "0dd4f66d763e7a58c6f3386cef62422e3c6269e046b18bcf27db3d71d81608c2"
+        ),
+        ("obesity", "tanh", False): (
+            "308f09b056e7136791f1956ea3ee886f00e4d683ff26a4f27bdad7efc3806c97"
+        ),
+    }
+
+    @staticmethod
+    def model(kind):
+        if kind == "cmaes":
+            fcms, concept = generate_cmaes_style(16, seed=3), "Awareness"
+        else:
+            fcms = generate_variants(build_obesity_fcm(), 16, jitter=0.2, seed=3)
+            fcms, concept = randomize_activations(fcms, seed=3), "Obesity"
+        agents = make_agents(fcms)
+        graph = build_topology(TopologySpec("small_world", n=16, k=4, beta=0.2, seed=3))
+        return agents, assign_channels(graph, agents, seed=3), concept
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_samples_hash(self, key):
+        kind, transfer, self_memory = key
+        agents, graph, concept = self.model(kind)
+        settings = SimulationSettings(concept, transfer=transfer, self_memory=self_memory)
+        spec = RunSpec(concept, settings, rounds=3, repeats=6, master_seed=17)
+        samples = run_distribution(agents, graph, spec).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == self.GOLDEN[key]
