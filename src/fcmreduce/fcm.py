@@ -10,6 +10,7 @@ falls below a tolerance) or an iteration cap is hit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,18 @@ class SimulationSettings:
     self_memory: bool = True
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        # bool is an int subclass, so it is excluded by name
+        iterations, tolerance = self.max_iterations, self.stabilization_tolerance
+        if not isinstance(iterations, numbers.Integral) or isinstance(iterations, bool):
+            raise ConfigError(f"max_iterations must be an integer, got {iterations!r}")
+        if iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not self.stabilization_tolerance > 0:
+        if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
+            raise ConfigError(f"stabilization_tolerance must be a number, got {tolerance!r}")
+        if not tolerance > 0:
             raise ConfigError("stabilization_tolerance must be > 0")
+        if not math.isfinite(tolerance):
+            raise ConfigError("stabilization_tolerance must be finite")
         if self.transfer not in TRANSFER_FUNCTIONS:
             raise ConfigError(
                 f"unknown transfer function {self.transfer!r}; valid: {TRANSFER_FUNCTIONS}"

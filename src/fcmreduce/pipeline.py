@@ -280,8 +280,10 @@ def stage_topology(cfg: PipelineConfig, agents: list[Agent]) -> SocialGraph:
     return assign_channels(graph, agents, int_seed(cfg.seed, "channels", cfg.topology))
 
 
-def stage_weigh(cfg: PipelineConfig, agents: list[Agent], graph: SocialGraph) -> dict:
-    return weigh_ties(agents, graph, cfg.metric, cfg.metric_config())
+def stage_weigh(
+    cfg: PipelineConfig, agents: list[Agent], graph: SocialGraph, features: dict | None = None
+) -> dict:
+    return weigh_ties(agents, graph, cfg.metric, cfg.metric_config(), features)
 
 
 def stage_cluster(cfg: PipelineConfig, graph: SocialGraph, weights: dict) -> Partition:
@@ -337,23 +339,38 @@ class PipelineResult:
 
 def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
     """One PipelineResult per (topology, metric, algorithm) cell of cfg, in
-    that nesting order. The population is built once; the graph and the
-    original distribution once per topology; the tie weights once per
-    (topology, metric)."""
+    that nesting order, doing each piece of work once:
+
+    - the population once;
+    - each agent's feature once per metric, since no topology knob enters
+      it (seed, metric config and agent id do);
+    - the graph and the original distribution once per topology, and the
+      tie weights once per (topology, metric);
+    - the reduced model and its distribution once per distinct partition
+      within a topology, since neither depends on the metric or the
+      algorithm. The key keeps the community labels: contract visits
+      crossing pairs in label order, so a relabelled grouping may draw
+      other channels."""
     # each topology's knobs (p, k, beta, m) are checked before any work
     top_cfgs = [replace(cfg, topology=topology) for topology in topologies]
     agents = stage_population(cfg)
+    features = {metric: {} for metric in metrics}
     for top_cfg in top_cfgs:
         graph = stage_topology(top_cfg, agents)
         original = stage_simulate(top_cfg, agents, graph)
+        reductions: dict = {}  # partition assignment -> (reduced, simplified)
         for metric in metrics:
             metric_cfg = replace(top_cfg, metric=metric)
-            weights = stage_weigh(metric_cfg, agents, graph)
+            weights = stage_weigh(metric_cfg, agents, graph, features[metric])
             for algorithm in algorithms:
                 cell = replace(metric_cfg, algorithm=algorithm)
                 partition = stage_cluster(cell, graph, weights)
-                reduced = stage_reduce(cell, agents, graph, partition)
-                simplified = stage_simulate(cell, reduced.agents, reduced.graph)
+                key = tuple(sorted(partition.assignment.items()))
+                if key not in reductions:
+                    reduced = stage_reduce(cell, agents, graph, partition)
+                    simplified = stage_simulate(cell, reduced.agents, reduced.graph)
+                    reductions[key] = reduced, simplified
+                reduced, simplified = reductions[key]
                 report = stage_compare(
                     cell, original, simplified, reduced.removed_count, partition
                 )

@@ -380,14 +380,22 @@ def weigh_ties(
     graph: SocialGraph,
     metric: str,
     config: MetricConfig | None = None,
+    features: dict | None = None,
 ) -> dict:
     """Weight of every existing tie under the chosen measure: a map
     (i, j) -> TieWeight. Only interacting pairs are compared; each endpoint
-    agent's feature is computed once, when a tie first touches it."""
+    agent's feature is computed once, when a tie first touches it.
+
+    features, when given, is the caller's cache of agent id -> feature for
+    this metric and config, filled here as ties touch new agents. A feature
+    depends only on the agent's map, the metric, the config and the agent
+    id, never on the graph, so one dict can serve the same agents weighed
+    over several topologies."""
     feature, compare = _measure(metric)
     cfg = config or MetricConfig()
     by_id = {a.id: a for a in agents}
-    features: dict = {}
+    if features is None:
+        features = {}
 
     def feature_of(agent_id):
         if agent_id not in features:

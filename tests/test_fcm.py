@@ -82,6 +82,25 @@ class TestSettings:
         with pytest.raises(ConfigError):
             SimulationSettings(stabilization_concept="A", stabilization_tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"stabilization_tolerance": math.inf},
+            {"stabilization_tolerance": math.nan},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_cap_or_non_finite_tolerance_rejected(self, bad):
+        # 2.5 used to reach range() in simulate() as a TypeError; inf made
+        # every settle stop after one update
+        with pytest.raises(ConfigError):
+            SimulationSettings(stabilization_concept="A", **bad)
+
+    def test_integer_tolerance_accepted(self):
+        assert SimulationSettings("A", stabilization_tolerance=1).stabilization_tolerance == 1
+
     def test_unknown_transfer_rejected(self):
         with pytest.raises(ConfigError):
             SimulationSettings(stabilization_concept="A", transfer="relu")

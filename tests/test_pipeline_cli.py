@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmreduce import pipeline, similarity
 from fcmreduce.analysis import sweep_row
 from fcmreduce.cli import main
 from fcmreduce.errors import ConfigError
@@ -81,6 +82,8 @@ BAD_CONFIGS = [
     {"k": 3}, {"count": 1}, {"topology": "random", "p": 2},
     {"rounds": 0}, {"node_bins": 1}, {"tsp_ensemble": 0}, {"epsilon": -1},
     {"max_iterations": 0}, {"tolerance": 0},
+    {"max_iterations": 2.5}, {"max_iterations": True},
+    {"tolerance": float("inf")}, {"tolerance": float("nan")},
     *({key: 2.0} for key in ("rounds", "repeats", "count", "k", "max_iterations",
                              "tsp_ensemble", "node_bins", "kl_bins")),
     {"kl_alpha": 0}, {"kl_bins": 0}, {"max_rounds": 0}, {"workers": 0},
@@ -225,16 +228,48 @@ class TestSweep:
         assert len(combos) == 66
 
     def test_sweep_rows_equal_pipeline_reports(self, tmp_path):
+        # every cell, so features and reduced runs shared across cells
+        # change no row
         sweep = run_sweep(config_from_dict(self.SMALL), str(tmp_path / "sweep"))
         rows = {tuple(row[:3]): row for row in sweep}
-        for cell in (
-            ("random", "tsp", "agglomerative"),
-            ("small_world", "kl_nodes", "chinese_whispers"),
-            ("scale_free", "compare_graphs", "chinese_whispers"),
-        ):
+        assert len(rows) == 66
+        for cell, row in rows.items():
             names = dict(zip(("topology", "metric", "algorithm"), cell))
             result = run_pipeline(config_from_dict(dict(self.SMALL, **names)))
-            assert rows[cell] == sweep_row(result.report, *cell)
+            assert row == sweep_row(result.report, *cell)
+
+    def test_sweep_does_each_piece_of_work_once(self, tmp_path, monkeypatch):
+        runs, seeds, compared = [], [], []
+        run_distribution, stage_compare = pipeline.run_distribution, pipeline.stage_compare
+        triad_profile = similarity.triad_profile
+
+        def counting_run(*args, **kwargs):
+            runs.append(run_distribution(*args, **kwargs))
+            return runs[-1]
+
+        def counting_profile(*args, **kwargs):
+            seeds.append(args[4])  # int_seed(seed, "tsp", agent id)
+            return triad_profile(*args, **kwargs)
+
+        def recording_compare(cell, original, simplified, removed_count, partition):
+            key = (cell.topology, tuple(sorted(partition.assignment.items())))
+            compared.append((key, simplified))
+            return stage_compare(cell, original, simplified, removed_count, partition)
+
+        monkeypatch.setattr(pipeline, "run_distribution", counting_run)
+        monkeypatch.setattr(similarity, "triad_profile", counting_profile)
+        monkeypatch.setattr(pipeline, "stage_compare", recording_compare)
+        run_sweep(config_from_dict(self.SMALL), str(tmp_path / "sweep"))
+
+        assert len(compared) == 66
+        distinct = {key for key, _ in compared}
+        assert len(distinct) < 66  # the test needs cells that share a partition
+        assert len(runs) == 3 + len(distinct)
+        assert 0 < len(seeds) == len(set(seeds)) <= self.SMALL["count"]
+        simplified_of = {}
+        for key, simplified in compared:
+            assert simplified_of.setdefault(key, simplified) is simplified
+        assert len({id(s) for s in simplified_of.values()}) == len(distinct)
 
     def test_knob_bad_for_another_topology_rejected_before_any_work(self, tmp_path):
         # k=3 is no small-world ring degree; the random topology ignores k
