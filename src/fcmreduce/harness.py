@@ -17,6 +17,7 @@ interact()-based run_once_reference bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,10 +40,13 @@ class RunSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        for name in ("rounds", "repeats"):
+            value = getattr(self, name)
+            # bool is an int subclass, so it is excluded by name
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
 
 @dataclass

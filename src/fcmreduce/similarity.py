@@ -12,6 +12,7 @@ otherwise make them degenerate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -98,6 +99,11 @@ class MetricConfig:
             raise MetricError(
                 f"unknown centrality kind {self.centrality!r}; valid: {CENTRALITY_KINDS}"
             )
+        for name in ("tsp_ensemble", "tsp_swaps_per_edge"):
+            value = getattr(self, name)
+            # bool is an int subclass, so it is excluded by name
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise MetricError(f"{name} must be an integer, got {value!r}")
         if self.tsp_ensemble < 1 or self.tsp_swaps_per_edge < 0:
             raise MetricError("tsp ensemble parameters out of range")
 

@@ -73,6 +73,23 @@ def triad_census(adjacency: np.ndarray) -> np.ndarray:
     return np.bincount(classes.ravel(), minlength=16 * graphs).reshape(graphs, 16)
 
 
+@lru_cache(maxsize=2)
+def _swap_setup(shape: tuple, data: bytes):
+    """The swap loop's state for one adjacency: the flat adjacency with a
+    True diagonal, each edge's target, each edge's source row offset, and
+    whether each edge is movable. Cached because a profile randomizes one
+    adjacency many times in a row, so every value is immutable."""
+    adj = np.frombuffer(data, dtype=bool).reshape(shape).copy()
+    np.fill_diagonal(adj, False)
+    n = shape[0]
+    src, dst = np.argwhere(adj).T
+    movable = (adj.sum(axis=1)[src] < n - 1) & (adj.sum(axis=0)[dst] < n - 1)
+    np.fill_diagonal(adj, True)
+    rows = src * n
+    rows.flags.writeable = movable.flags.writeable = False
+    return tuple(adj.ravel().tolist()), tuple(dst.tolist()), rows, movable
+
+
 def degree_preserving_randomization(
     adjacency: np.ndarray, swaps_per_edge: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -82,26 +99,39 @@ def degree_preserving_randomization(
     A pick of edges (a->b, c->d) is rewired to (a->d, c->b) unless that
     would create a self-loop or a duplicate arc; failed attempts leave the
     graph unchanged but still count. In- and out-degrees are invariant.
+
+    Picks that must fail are dropped before the loop, and the rest run in
+    draw order, so output and generator state equal those of testing every
+    pick. A pick succeeds only if a->d and c->b are both absent, so an edge
+    can move only if its source has out-degree < n - 1 and its target
+    in-degree < n - 1 (it is movable). A success exchanges the targets of
+    two movable edges and keeps every degree, so the movable edges stay
+    movable and the others never move. Two edges from one source always
+    fail, since the a->d they need is the second edge itself. The loop thus
+    sees only picks of two movable edges with different sources; sources
+    never change, so this mask holds for the whole call.
     """
-    adj = np.ascontiguousarray(adjacency, dtype=bool).copy()
-    np.fill_diagonal(adj, False)
-    edges = np.argwhere(adj)
-    m = len(edges)
+    adj = np.ascontiguousarray(adjacency, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise MetricError("adjacency must be a square matrix")
+    present, dst, rows, movable = _swap_setup(adj.shape, adj.tobytes())
+    m = len(dst)
     if m == 0:
-        return adj
+        return np.zeros(adj.shape, dtype=bool)
     pairs = rng.integers(0, m, size=(swaps_per_edge * m, 2), dtype=np.int64)
     # The loop runs on plain Python lists: present is the flat adjacency, dst
     # each edge's current target. A swap only moves targets, so each pick's
     # source row offset is fixed and computed up front. A True diagonal makes
     # the self-loop tests (a == d, c == b) part of the duplicate-arc test;
     # no swap ever clears it, since a->b and c->d are never self-loops.
-    cols = adj.shape[1]
-    np.fill_diagonal(adj, True)
-    present = adj.ravel().tolist()
-    dst = edges[:, 1].tolist()
-    rows = (edges[:, 0] * cols)[pairs]
+    offsets = rows[pairs]
+    both_movable = movable[pairs]
+    keep = both_movable[:, 0] & both_movable[:, 1] & (offsets[:, 0] != offsets[:, 1])
+    pairs, offsets = pairs[keep], offsets[keep]
+    present = list(present)
+    dst = list(dst)
     for e1, e2, a, c in zip(
-        pairs[:, 0].tolist(), pairs[:, 1].tolist(), rows[:, 0].tolist(), rows[:, 1].tolist()
+        pairs[:, 0].tolist(), pairs[:, 1].tolist(), offsets[:, 0].tolist(), offsets[:, 1].tolist()
     ):
         b = dst[e1]
         d = dst[e2]

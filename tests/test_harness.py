@@ -244,6 +244,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             RunSpec("A", SimulationSettings("A"), repeats=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"rounds": 2.5}, {"rounds": True}, {"repeats": 2.0}, {"repeats": True}],
+        ids=repr,
+    )
+    def test_non_integer_rounds_or_repeats_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RunSpec("A", SimulationSettings("A"), **bad)
+
+    def test_numpy_integer_rounds_accepted(self):
+        spec = RunSpec("A", SimulationSettings("A"), rounds=np.int64(3), repeats=np.int32(2))
+        assert (spec.rounds, spec.repeats) == (3, 2)
+
     def test_distribution_requires_unit_interval(self):
         with pytest.raises(ContractError):
             OutputDistribution(np.array([0.5, 1.2]))

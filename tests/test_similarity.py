@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -299,6 +300,20 @@ class TestTsp:
         with pytest.raises(MetricError):
             triad_profile(fcm_with_n_concepts(2), VIEW0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tsp_ensemble": 2.5},
+            {"tsp_ensemble": True},
+            {"tsp_swaps_per_edge": 1.5},
+            {"tsp_swaps_per_edge": False},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_ensemble_parameters_rejected(self, bad):
+        with pytest.raises(MetricError, match="must be an integer"):
+            MetricConfig(**bad)
+
     def test_cosine_to_distance_mapping(self):
         # negated profiles -> 1, orthogonal -> 0.5 (cosine -1 and 0)
         from fcmreduce.similarity import _cosine
@@ -340,6 +355,63 @@ class TestTsp:
         assert np.array_equal(randomized, _scalar_swap_randomization(adj, swaps, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert np.diag(adj).tolist() == [diagonal] * n
+
+    @given(
+        st.data(),
+        st.integers(min_value=3, max_value=15),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_randomization_equals_scalar_loop_near_complete(self, data, n, swaps, seed):
+        # dense maps, where most picks are dropped before the loop: 0-15
+        # missing arcs (0 is the complete digraph, where no edge moves),
+        # optionally with one row or column made complete again
+        from fcmreduce.triads import degree_preserving_randomization
+
+        adj = ~np.eye(n, dtype=bool)
+        arcs = np.argwhere(adj)
+        missing = data.draw(st.sets(st.integers(0, len(arcs) - 1), max_size=15))
+        adj[tuple(arcs[sorted(missing)].T)] = False
+        full_row = data.draw(st.none() | st.integers(0, n - 1))
+        full_col = data.draw(st.none() | st.integers(0, n - 1))
+        if full_row is not None:
+            adj[full_row] = True
+        if full_col is not None:
+            adj[:, full_col] = True
+        np.fill_diagonal(adj, False)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        randomized = degree_preserving_randomization(adj, swaps, rng)
+        assert np.array_equal(randomized, _scalar_swap_randomization(adj, swaps, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_randomization_needs_square_adjacency(self):
+        # the movable-edge filter counts degrees against n - 1
+        from fcmreduce.triads import degree_preserving_randomization
+
+        for shape in ((3, 4), (4,), (2, 3, 3)):
+            with pytest.raises(MetricError):
+                degree_preserving_randomization(np.ones(shape, dtype=bool), 1, np.random.default_rng(0))
+
+    # sha256 of triad_profile bytes for the first three seed-42 cmaes-style
+    # agents at the default MetricConfig, each seeded as weigh_ties seeds it
+    # in a seed-42 run; recorded before the swap loop dropped the picks that
+    # must fail
+    DENSE_PROFILES = (
+        "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+        "6dd51d77713e803f03ab02ee47ce1944242c03034a9e893a31186aeaacbcf4d9",
+        "6aa5cde5111af2e39e694bd1314cd0448148c5194adfe2b42fb01a1c8bd65c28",
+    )
+
+    def test_dense_profiles_golden(self):
+        cfg = MetricConfig()
+        for agent_id, f in enumerate(generate_cmaes_style(3, seed=42)):
+            profile = triad_profile(
+                f, cfg.view, cfg.tsp_ensemble, cfg.tsp_swaps_per_edge,
+                int_seed(42, "tsp", agent_id),
+            )
+            digest = hashlib.sha256(profile.tobytes()).hexdigest()
+            assert digest == self.DENSE_PROFILES[agent_id]
 
 
 class TestJaccard:
