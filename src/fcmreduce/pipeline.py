@@ -527,11 +527,19 @@ def stage_compare_files(
             f"the original distribution holds {len(original.samples)} samples "
             f"but the reduced one {len(simplified.samples)}"
         )
-    partition = import_partition(os.path.join(out_dir, "partition.csv"))
-    provenance = import_provenance(os.path.join(out_dir, "provenance.json"))
-    removed = sum(len(e["members"]) for e in provenance["communities"].values()) - len(
-        provenance["communities"]
-    )
+    partition_path = os.path.join(out_dir, "partition.csv")
+    provenance_path = os.path.join(out_dir, "provenance.json")
+    partition = import_partition(partition_path)
+    provenance = import_provenance(provenance_path)
+    # the community stats come from the partition and the distributions from
+    # the reduction, so both must describe the same grouping of agents
+    groups = sorted(sorted(e["members"]) for e in provenance["communities"].values())
+    if groups != sorted(partition.members().values()):
+        raise ConfigError(
+            f"{partition_path} groups the agents differently from the reduction in "
+            f"{provenance_path}; run reduce and simulate again after cluster"
+        )
+    removed = sum(len(g) for g in groups) - len(groups)
     report = stage_compare(cfg, original, simplified, removed, partition)
     _write_comparison(out_dir, original, simplified, report)
     return report

@@ -8,6 +8,7 @@ can be imported from the JSON format.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -231,9 +232,17 @@ def make_agents(fcms: list[Fcm]) -> list[Agent]:
 
 def export_population(fcms: list[Fcm], path) -> None:
     """Write one FCM object per line, in the bytes
-    `json.dumps(fcm_to_dict(f), sort_keys=True)` would give. Each record is
-    formatted directly: labels are encoded once per map, numbers are written
-    with float.__repr__ (as json does), and keys come in sorted order."""
+    `json.dumps(fcm_to_dict(f), sort_keys=True)` would give.
+
+    Everything in a record except its numbers depends only on the map's
+    labels and on which activations and weights are nonzero, so each record
+    is filled into a template that _record_template caches under the key
+    (concepts, nonzero-activation bytes, nonzero-weight bytes). The labels in
+    a template are json-encoded, keys come in sorted order and every number
+    is a `%r` slot, which writes float.__repr__, as json does. The activation
+    slots follow label order and the edge slots the row-major order of the
+    weight mask, which is np.nonzero's order, so the bytes are the ones the
+    per-record encoding gave."""
     with writing(path) as fh:
         fh.write("[\n")
         for idx, f in enumerate(fcms):
@@ -244,21 +253,35 @@ def export_population(fcms: list[Fcm], path) -> None:
 
 
 def _population_record(f: Fcm) -> str:
-    labels = [json.dumps(c) for c in f.concepts]
-    activation = ", ".join(
-        f"{label}: {float.__repr__(v)}"
-        for _, label, v in sorted(zip(f.concepts, labels, f.activation.tolist()))
-        if v != 0.0
+    edges = f.weights != 0.0
+    template, order = _record_template(
+        f.concepts, (f.activation != 0.0).tobytes(), edges.tobytes()
     )
-    src, tgt = np.nonzero(f.weights)
-    edges = ", ".join(
-        f'{{"source": {labels[i]}, "target": {labels[j]}, "weight": {float.__repr__(w)}}}'
-        for i, j, w in zip(src.tolist(), tgt.tolist(), f.weights[src, tgt].tolist())
+    return template % (*f.activation[order].tolist(), *f.weights[edges].tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _record_template(concepts: tuple, active: bytes, edges: bytes) -> tuple:
+    """(format string, label-sorted indices of the nonzero activations) for
+    maps with these labels and zero pattern. A literal % in a label is
+    doubled so that only the number slots take arguments."""
+    n = len(concepts)
+    labels = [json.dumps(c).replace("%", "%%") for c in concepts]
+    kept = sorted(np.flatnonzero(np.frombuffer(active, dtype=bool)).tolist(),
+                  key=concepts.__getitem__)
+    src, tgt = np.nonzero(np.frombuffer(edges, dtype=bool).reshape(n, n))
+    activation = ", ".join(f"{labels[i]}: %r" for i in kept)
+    edge_text = ", ".join(
+        f'{{"source": {labels[i]}, "target": {labels[j]}, "weight": %r}}'
+        for i, j in zip(src.tolist(), tgt.tolist())
     )
-    return (
+    template = (
         f'{{"activation": {{{activation}}}, "concepts": [{", ".join(labels)}], '
-        f'"edges": [{edges}]}}'
+        f'"edges": [{edge_text}]}}'
     )
+    order = np.array(kept, dtype=np.intp)
+    order.setflags(write=False)
+    return template, order
 
 
 def import_population(path) -> list[Fcm]:

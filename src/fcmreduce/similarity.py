@@ -11,6 +11,7 @@ otherwise make them degenerate.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -284,16 +285,37 @@ def _centrality_gap(ca: dict, cb: dict, cfg: MetricConfig) -> float:
 
 def _aligned_weights(a: Fcm, b: Fcm) -> list[np.ndarray]:
     """Both weight matrices over the sorted union of the two maps' labels; a
-    label one map lacks has zero rows and columns there."""
-    labels = sorted(set(a.concepts) | set(b.concepts))
-    index = {l: k for k, l in enumerate(labels)}
+    label one map lacks has zero rows and columns there.
+
+    The union size and each map's np.ix_ placement in it depend only on the
+    two label tuples, so _alignment caches them under (a.concepts,
+    b.concepts); each call still scatters both maps into fresh zero
+    matrices. The aligned arrays are the ones a per-call union embedding
+    gives, element for element, so every sum and norm taken over them keeps
+    its bits."""
+    size, placements = _alignment(a.concepts, b.concepts)
     aligned = []
-    for f in (a, b):
-        w = np.zeros((len(labels), len(labels)))
-        rows = [index[l] for l in f.concepts]
-        w[np.ix_(rows, rows)] = f.weights
+    for f, place in zip((a, b), placements):
+        w = np.zeros((size, size))
+        w[place] = f.weights
         aligned.append(w)
     return aligned
+
+
+@functools.lru_cache(maxsize=16)
+def _alignment(concepts_a: tuple, concepts_b: tuple) -> tuple:
+    """(union size, (np.ix_ placement of a, np.ix_ placement of b)); the
+    index arrays are read-only because every caller shares them."""
+    labels = sorted(set(concepts_a) | set(concepts_b))
+    index = {l: k for k, l in enumerate(labels)}
+    placements = []
+    for concepts in (concepts_a, concepts_b):
+        rows = [index[l] for l in concepts]
+        place = np.ix_(rows, rows)
+        for grid in place:
+            grid.setflags(write=False)
+        placements.append(place)
+    return len(labels), tuple(placements)
 
 
 def _jaccard_gap(a: Fcm, b: Fcm, cfg: MetricConfig) -> float:

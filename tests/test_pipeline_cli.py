@@ -475,6 +475,31 @@ class TestCliErrors:
         assert "agents of topology.csv" in capsys.readouterr().err
         assert not os.path.exists(staged / "provenance.json")
 
+    def test_compare_rejects_partition_not_of_reduction(self, tmp_path, capsys):
+        # a partition.csv rewritten after reduce (as a second cluster run
+        # does) must not be reported against the older reduction
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh", "cluster", "reduce"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        for model in ("original", "reduced"):
+            assert main(["simulate", "--config", config_path, "--out", str(staged),
+                         "--model", model]) == 0
+        partition = staged / "partition.csv"
+        header, *rows = partition.read_text().splitlines(keepends=True)
+        # move one agent of a community that keeps another member, so the
+        # ids stay dense and every agent is still assigned
+        comms = [row.strip().split(",")[1] for row in rows]
+        k = next(i for i, c in enumerate(comms) if comms.count(c) > 1)
+        other = next(c for c in comms if c != comms[k])
+        rows[k] = f"{rows[k].split(',')[0]},{other}\n"
+        partition.write_text(header + "".join(rows))
+        capsys.readouterr()
+        assert main(["compare", "--config", config_path, "--out", str(staged)]) == 1
+        err = capsys.readouterr().err
+        assert "partition.csv" in err and "provenance.json" in err
+        assert not os.path.exists(staged / "report.json")
+
     def test_cluster_before_weigh_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         staged = str(tmp_path / "staged")

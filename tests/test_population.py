@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmreduce import population
 from fcmreduce.errors import ChannelError, ConfigError, ContractError, GenerationError
 from fcmreduce.fcm import Fcm, fcm_to_dict
+from fcmreduce.pipeline import config_from_dict, stage_population
 from fcmreduce.population import (
     CMAES_CONCEPTS,
     Agent,
@@ -57,11 +60,14 @@ OBESITY_TABLE = [
 @st.composite
 def written_fcms(draw):
     """FCMs whose labels need escaping (quotes, backslashes, control and
-    non-ASCII characters), with sparse or empty weight matrices and
-    activations that may be all zero."""
+    non-ASCII characters) or hold format markers (%, %r, %%), with sparse or
+    empty weight matrices and activations that may be all zero."""
     n = draw(st.integers(1, 6))
-    alphabet = st.one_of(st.sampled_from('"\\\n\t/éü漢𝄞 '), st.characters(codec="utf-8"))
-    label = st.text(alphabet, min_size=1, max_size=6)
+    piece = st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "/", "é", "ü", "漢", "𝄞", " ", "%", "%r", "%%"]),
+        st.characters(codec="utf-8"),
+    )
+    label = st.lists(piece, min_size=1, max_size=6).map("".join)
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     sparse = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     weights = draw(st.lists(sparse, min_size=n * n, max_size=n * n))
@@ -70,6 +76,13 @@ def written_fcms(draw):
         st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n, max_size=n),
     ))
     return Fcm(tuple(labels), np.reshape(weights, (n, n)), activation)
+
+
+def json_dumps_records(fcms):
+    """The bytes export_population must write: one json.dumps record a line."""
+    return ("[\n" + ",\n".join(
+        json.dumps(fcm_to_dict(f), sort_keys=True) for f in fcms
+    ) + "\n]\n").encode("utf-8")
 
 
 class TestObesityFcm:
@@ -211,14 +224,46 @@ class TestPopulationIO:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(written_fcms(), min_size=1, max_size=4))
     def test_bytes_equal_json_dumps_of_each_record(self, fcms):
-        expected = "[\n" + ",\n".join(
-            json.dumps(fcm_to_dict(f), sort_keys=True) for f in fcms
-        ) + "\n]\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "population.json")
             export_population(fcms, path)
             with open(path, "rb") as fh:
-                assert fh.read() == expected.encode("utf-8")
+                assert fh.read() == json_dumps_records(fcms)
+
+    def test_records_beyond_template_cache_size(self, tmp_path):
+        # more zero patterns than the template cache holds, each written
+        # twice in a row and the whole cycle three times: the second of each
+        # pair hits the cache, and every cycle evicts the previous one's
+        population._record_template.cache_clear()
+        size = population._record_template.cache_info().maxsize + 4
+        rng = np.random.default_rng(7)
+        fcms = []
+        for _ in range(3):
+            for k in range(size):
+                # pattern k: the one zero weight sits at flat index k
+                w = rng.uniform(-1.0, 1.0, size=(5, 5))
+                w.flat[k] = 0.0
+                a = rng.uniform(0.0, 1.0, size=5)
+                a[k % 5] = 0.0
+                fcms += [Fcm(("A", "B%", "C", "%rD", "E"), w, a)] * 2
+        path = tmp_path / "population.json"
+        export_population(fcms, path)
+        assert path.read_bytes() == json_dumps_records(fcms)
+        info = population._record_template.cache_info()
+        assert info.hits == 3 * size and info.misses == 3 * size
+
+    @pytest.mark.parametrize("config, digest", [
+        ({"source": "cmaes-style", "count": 200, "seed": 42},
+         "43b49066dcd6f715e933014c76b83207213083c55fccedd2d6ed650159a46e2c"),
+        ({"source": "obesity-variants", "count": 60, "seed": 42},
+         "8a2b000d7754cd2a9d2bdd0e142c48c2821776717736433586f33c215770c8c4"),
+    ], ids=["cmaes-200", "obesity-60"])
+    def test_golden_population_digest(self, tmp_path, config, digest):
+        # recorded with the per-record encoder the templates replaced
+        agents = stage_population(config_from_dict(config))
+        path = tmp_path / "population.json"
+        export_population([a.fcm for a in agents], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_single_fcm_file(self, tmp_path):
         path = tmp_path / "one.json"

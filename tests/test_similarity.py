@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -589,6 +590,116 @@ class TestCompareGraphs:
         # no overlapping edges once aligned on the label union
         d = distance("compare_graphs", a, b)
         assert d == pytest.approx(math.sqrt(0.5) / 1.0, abs=1e-12)
+
+
+def union_embedding(a, b):
+    """Reference label alignment: both weight matrices placed over the sorted
+    union of labels, rebuilt on every call. The cached alignment behind
+    jaccard_edges and compare_graphs must give the same arrays."""
+    labels = sorted(set(a.concepts) | set(b.concepts))
+    index = {l: k for k, l in enumerate(labels)}
+    aligned = []
+    for f in (a, b):
+        w = np.zeros((len(labels), len(labels)))
+        rows = [index[l] for l in f.concepts]
+        w[np.ix_(rows, rows)] = f.weights
+        aligned.append(w)
+    return aligned
+
+
+LABEL_RELATIONS = ("identical", "permuted", "overlapping", "disjoint")
+
+
+def label_pair(relation, n, m, rng):
+    """Two label tuples of sizes n and m (n for both unless overlapping or
+    disjoint) standing in the given relation."""
+    a = tuple(f"L{k}" for k in rng.permutation(n + m))[:n]
+    if relation == "identical":
+        return a, a
+    if relation == "permuted":
+        return a, tuple(a[k] for k in rng.permutation(n))
+    if relation == "disjoint":
+        return a, tuple(f"M{k}" for k in range(m))
+    # at least one label shared and one not
+    b = a[: max(1, min(n - 1, m - 1))] + tuple(f"M{k}" for k in range(m))
+    return a, tuple(b[k] for k in rng.permutation(m))
+
+
+@st.composite
+def aligned_pairs(draw):
+    """Two maps whose label tuples are identical, permuted, partly
+    overlapping or disjoint, with weights that may be -0.0, sparse, edgeless
+    or all zero."""
+    relation = draw(st.sampled_from(LABEL_RELATIONS))
+    n = draw(st.integers(2 if relation == "overlapping" else 1, 6))
+    m = n if relation in ("identical", "permuted") else draw(
+        st.integers(2 if relation == "overlapping" else 1, 6)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels_a, labels_b = label_pair(relation, n, m, rng)
+    entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0))
+    maps = []
+    for labels in (labels_a, labels_b):
+        k = len(labels)
+        weights = draw(st.one_of(
+            st.just([0.0] * (k * k)),
+            st.lists(entry, min_size=k * k, max_size=k * k),
+        ))
+        maps.append(Fcm(labels, np.reshape(weights, (k, k)), np.zeros(k)))
+    return tuple(maps)
+
+
+def distance_or_error(metric, a, b):
+    try:
+        return distance(metric, a, b).hex()
+    except MetricError as exc:
+        return str(exc)
+
+
+class TestAlignmentCache:
+    """jaccard_edges and compare_graphs align maps through a label-pair
+    cache; union_embedding is the per-call alignment it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_pairs())
+    def test_aligned_weights_equal_union_embedding(self, pair):
+        a, b = pair
+        got = similarity._aligned_weights(a, b)
+        want = union_embedding(a, b)
+        # tobytes also tells -0.0 from 0.0
+        assert [w.shape for w in got] == [w.shape for w in want]
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_pairs(), st.sampled_from(["jaccard_edges", "compare_graphs"]))
+    def test_distance_bit_equal_to_union_embedding(self, pair, metric):
+        a, b = pair
+        got = distance_or_error(metric, a, b)
+        with mock.patch.object(similarity, "_aligned_weights", union_embedding):
+            want = distance_or_error(metric, a, b)
+        assert got == want
+
+    @pytest.mark.parametrize("relation", LABEL_RELATIONS)
+    def test_degenerate_maps_keep_their_branches(self, relation):
+        # edgeless and -0.0-only maps: weighted Jaccard has no defined value
+        # and compare_graphs defines 0/0 as 0, whatever the label relation
+        labels_a, labels_b = label_pair(relation, 3, 3, np.random.default_rng(5))
+        zero = Fcm(labels_a, np.zeros((3, 3)), np.zeros(3))
+        negative_zero = Fcm(labels_b, np.full((3, 3), -0.0), np.zeros(3))
+        with pytest.raises(MetricError, match="two edgeless FCMs"):
+            distance("jaccard_edges", zero, negative_zero)
+        assert distance("compare_graphs", zero, negative_zero) == 0.0
+
+    def test_cache_keyed_on_ordered_label_pair(self):
+        a = Fcm(("A", "B"), [[0, 0.5], [0, 0]], [0, 0])
+        b = Fcm(("B", "A"), [[0, 0.5], [0, 0]], [0, 0])
+        # the same label set in another order is another placement: a has
+        # the edge A -> B, b the edge B -> A
+        assert distance("compare_graphs", a, b) == distance("compare_graphs", b, a)
+        assert distance("compare_graphs", a, b) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = similarity._aligned_weights(x, y)
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in union_embedding(x, y)]
 
 
 class TestTieWeight:
