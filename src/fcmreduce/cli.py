@@ -38,39 +38,55 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output / work directory", default="out")
 
 
+def _pipeline(cfg: PipelineConfig, args) -> str:
+    if args.sweep:
+        rows = run_sweep(cfg, args.out)
+        return f"sweep complete: {len(rows)} cells -> {args.out}/sweep.csv"
+    return report_to_json(run_pipeline(cfg, out_dir=args.out).report)
+
+
+# command -> (help, extra flags, runner). A runner takes the resolved config
+# and the parsed arguments, and returns the text to print or the names of the
+# files it wrote. It names its stage function in its body, so the name is
+# looked up in this module at call time and a wrapper patched in here (as
+# perfbench/layers.py does) sees the call.
+COMMANDS = {
+    "pipeline": ("run the full reduction pipeline", {"--sweep": {
+        "action": "store_true",
+        "help": "run every metric x algorithm x topology cell and emit sweep.csv",
+    }}, _pipeline),
+    "generate": ("build the population, topology, and channels", {},
+                 lambda cfg, a: stage_generate_files(cfg, a.out)),
+    "weigh": ("weight social ties with the configured metric", {},
+              lambda cfg, a: stage_weigh_files(cfg, a.out)),
+    "cluster": ("detect communities on the weighted ties", {},
+                lambda cfg, a: stage_cluster_files(cfg, a.out)),
+    "reduce": ("select representatives and contract the model", {},
+               lambda cfg, a: stage_reduce_files(cfg, a.out)),
+    "compare": ("compute the fidelity report from two distributions", {
+        "--original": {"help": "original distribution CSV"},
+        "--simplified": {"help": "simplified distribution CSV"},
+    }, lambda cfg, a: report_to_json(stage_compare_files(
+        cfg, a.out, original_path=a.original, simplified_path=a.simplified,
+    ))),
+    "simulate": ("run the output distribution for a model", {"--model": {
+        "choices": ("original", "reduced"), "default": "original",
+        "help": "which model to simulate",
+    }}, lambda cfg, a: stage_simulate_files(cfg, a.out, model=a.model)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcmreduce",
         description="Reduce hybrid agent/FCM populations by merging agents who think alike.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pipeline", help="run the full reduction pipeline")
-    _add_common(p)
-    p.add_argument(
-        "--sweep", action="store_true",
-        help="run every metric x algorithm x topology cell and emit sweep.csv",
-    )
-
-    for name, help_text in (
-        ("generate", "build the population, topology, and channels"),
-        ("weigh", "weight social ties with the configured metric"),
-        ("cluster", "detect communities on the weighted ties"),
-        ("reduce", "select representatives and contract the model"),
-        ("compare", "compute the fidelity report from two distributions"),
-    ):
+    for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-
-    p = sub.add_parser("simulate", help="run the output distribution for a model")
-    _add_common(p)
-    p.add_argument(
-        "--model", choices=("original", "reduced"), default="original",
-        help="which model to simulate",
-    )
-
-    sub.choices["compare"].add_argument("--original", help="original distribution CSV")
-    sub.choices["compare"].add_argument("--simplified", help="simplified distribution CSV")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -89,35 +105,8 @@ def _resolve_config(args) -> PipelineConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "pipeline":
-            if args.sweep:
-                rows = run_sweep(cfg, args.out)
-                print(f"sweep complete: {len(rows)} cells -> {args.out}/sweep.csv")
-            else:
-                result = run_pipeline(cfg, out_dir=args.out)
-                print(report_to_json(result.report))
-        elif args.command == "generate":
-            stage_generate_files(cfg, args.out)
-            print(f"wrote population.json and topology.csv to {args.out}")
-        elif args.command == "weigh":
-            stage_weigh_files(cfg, args.out)
-            print(f"wrote ties.csv to {args.out}")
-        elif args.command == "cluster":
-            stage_cluster_files(cfg, args.out)
-            print(f"wrote partition.csv to {args.out}")
-        elif args.command == "reduce":
-            stage_reduce_files(cfg, args.out)
-            print(f"wrote reduced model and provenance to {args.out}")
-        elif args.command == "simulate":
-            stage_simulate_files(cfg, args.out, model=args.model)
-            print(f"wrote distribution_{args.model}.csv to {args.out}")
-        elif args.command == "compare":
-            report = stage_compare_files(
-                cfg, args.out,
-                original_path=args.original, simplified_path=args.simplified,
-            )
-            print(report_to_json(report))
+        out = COMMANDS[args.command][2](_resolve_config(args), args)
+        print(out if isinstance(out, str) else f"wrote {', '.join(out)} to {args.out}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

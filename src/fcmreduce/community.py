@@ -250,9 +250,12 @@ def import_partition(path) -> Partition:
     assignment = {}
     for row in read_csv(path, _PARTITION_HEADER, "partition"):
         try:
-            assignment[int(row[0])] = int(row[1])
+            agent, community = int(row[0]), int(row[1])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"malformed partition row {row!r} in {path}") from exc
+        if agent in assignment:
+            raise ConfigError(f"agent {agent} listed twice in {path}")
+        assignment[agent] = community
     try:
         return Partition(assignment)
     except ContractError as exc:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one integer check."""
+
+import numbers
 
 
 class FcmReduceError(Exception):
@@ -27,3 +29,10 @@ class MetricError(FcmReduceError):
 
 class ReportError(FcmReduceError):
     """Fidelity reporting was asked to summarize unusable data."""
+
+
+def check_integer(name: str, value, error: type[FcmReduceError]) -> None:
+    """Raise `error` unless value is an integer. bool is an int subclass, so
+    it is excluded by name."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")

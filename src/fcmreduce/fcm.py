@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_integer
 
 TRANSFER_FUNCTIONS = ("tanh", "sigmoid")
 
@@ -103,12 +103,11 @@ class SimulationSettings:
     self_memory: bool = True
 
     def __post_init__(self):
-        # bool is an int subclass, so it is excluded by name
         iterations, tolerance = self.max_iterations, self.stabilization_tolerance
-        if not isinstance(iterations, numbers.Integral) or isinstance(iterations, bool):
-            raise ConfigError(f"max_iterations must be an integer, got {iterations!r}")
+        check_integer("max_iterations", iterations, ConfigError)
         if iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        # bool is an int subclass, so it is excluded by name
         if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
             raise ConfigError(f"stabilization_tolerance must be a number, got {tolerance!r}")
         if not tolerance > 0:

@@ -17,12 +17,11 @@ interact()-based run_once_reference bit for bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_integer
 from .fcm import SimulationSettings, settle, simulate
 from .files import read_csv, write_csv, write_json
 from .population import Agent, SocialGraph
@@ -42,9 +41,7 @@ class RunSpec:
     def __post_init__(self):
         for name in ("rounds", "repeats"):
             value = getattr(self, name)
-            # bool is an int subclass, so it is excluded by name
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, value, ConfigError)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
 

@@ -56,6 +56,7 @@ from .population import (
     import_population,
     import_topology,
     make_agents,
+    population_size,
     randomize_activations,
 )
 from .reduction import ReducedModel, contract, export_provenance, import_provenance, select_representatives
@@ -390,8 +391,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
 def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write_model(out_dir, result.agents, result.graph)
-    export_tie_weights(result.tie_weights, cfg.metric, os.path.join(out_dir, "ties.csv"))
-    export_partition(result.partition, os.path.join(out_dir, "partition.csv"))
+    _write(out_dir, "ties.csv", export_tie_weights, result.tie_weights, cfg.metric)
+    _write(out_dir, "partition.csv", export_partition, result.partition)
     _write_reduced(out_dir, result.reduced)
     _write_distribution(out_dir, cfg, result.original, "original")
     _write_distribution(out_dir, cfg, result.simplified, "reduced")
@@ -399,37 +400,30 @@ def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> Non
 
 
 # One writer per work-directory file, shared by write_artifacts and the
-# file-based stages, so both routes write the same names and bytes.
+# file-based stages, so both routes write the same names and bytes. Each
+# returns the names of the files it wrote, and a file stage returns those.
 
-def _model_paths(out_dir, prefix: str = "") -> tuple:
-    """(population, topology) paths of the original model, or of the
-    reduced one with prefix "reduced_"."""
-    return (
-        os.path.join(out_dir, f"{prefix}population.json"),
-        os.path.join(out_dir, f"{prefix}topology.csv"),
-    )
+def _write(out_dir, name: str, export, *args) -> list:
+    export(*args, os.path.join(out_dir, name))
+    return [name]
 
 
-def _write_model(out_dir, agents: list[Agent], graph: SocialGraph, prefix: str = "") -> None:
-    population_path, topology_path = _model_paths(out_dir, prefix)
-    export_population([a.fcm for a in agents], population_path)
-    export_topology(graph, topology_path)
+def _write_model(out_dir, agents: list[Agent], graph: SocialGraph, prefix: str = "") -> list:
+    """The original model's files, or with prefix "reduced_" the reduced one's."""
+    return _write(
+        out_dir, f"{prefix}population.json", export_population, [a.fcm for a in agents]
+    ) + _write(out_dir, f"{prefix}topology.csv", export_topology, graph)
 
 
-def _write_reduced(out_dir, model: ReducedModel) -> None:
-    _write_model(out_dir, model.agents, model.graph, "reduced_")
-    export_provenance(model, os.path.join(out_dir, "provenance.json"))
+def _write_reduced(out_dir, model: ReducedModel) -> list:
+    names = _write_model(out_dir, model.agents, model.graph, "reduced_")
+    return names + _write(out_dir, "provenance.json", export_provenance, model)
 
 
-def _distribution_path(out_dir, model: str) -> str:
-    return os.path.join(out_dir, f"distribution_{model}.csv")
-
-
-def _write_distribution(out_dir, cfg: PipelineConfig, dist: OutputDistribution, model: str) -> None:
-    export_distribution(
-        dist, cfg.run_spec(), _distribution_path(out_dir, model),
-        os.path.join(out_dir, f"runspec_{model}.json"),
-    )
+def _write_distribution(out_dir, cfg: PipelineConfig, dist: OutputDistribution, model: str) -> list:
+    names = [f"distribution_{model}.csv", f"runspec_{model}.json"]
+    export_distribution(dist, cfg.run_spec(), *(os.path.join(out_dir, n) for n in names))
+    return names
 
 
 def _write_comparison(
@@ -459,26 +453,33 @@ def run_sweep(cfg: PipelineConfig, out_dir) -> list:
 # ---------------------------------------------------------------------------
 # File-based stage execution (compose or resume pipelines from a work dir).
 
-def _load_model(out_dir) -> tuple:
-    population_path, topology_path = _model_paths(out_dir)
-    agents = make_agents(import_population(population_path))
-    return agents, import_topology(topology_path, range(len(agents)))
+def _load_model(out_dir, prefix: str = "", ids=None) -> tuple:
+    """(agents, graph) of the original model, or with prefix "reduced_" and
+    the representatives' ids of the reduced one."""
+    fcms = import_population(os.path.join(out_dir, f"{prefix}population.json"))
+    if ids is not None and len(ids) != len(fcms):
+        raise ConfigError("reduced population and provenance disagree on size")
+    agents = make_agents(fcms) if ids is None else [Agent(i, f) for i, f in zip(ids, fcms)]
+    nodes = [a.id for a in agents]
+    return agents, import_topology(os.path.join(out_dir, f"{prefix}topology.csv"), nodes)
 
 
-def stage_generate_files(cfg: PipelineConfig, out_dir) -> None:
+def stage_generate_files(cfg: PipelineConfig, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     agents = stage_population(cfg)
-    _write_model(out_dir, agents, stage_topology(cfg, agents))
+    return _write_model(out_dir, agents, stage_topology(cfg, agents))
 
 
-def stage_weigh_files(cfg: PipelineConfig, out_dir) -> None:
+def stage_weigh_files(cfg: PipelineConfig, out_dir) -> list:
     agents, graph = _load_model(out_dir)
     weights = stage_weigh(cfg, agents, graph)
-    export_tie_weights(weights, cfg.metric, os.path.join(out_dir, "ties.csv"))
+    return _write(out_dir, "ties.csv", export_tie_weights, weights, cfg.metric)
 
 
-def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
-    agents, graph = _load_model(out_dir)
+def stage_cluster_files(cfg: PipelineConfig, out_dir) -> list:
+    # clustering uses no map, so of the population only its size is read
+    size = population_size(os.path.join(out_dir, "population.json"))
+    graph = import_topology(os.path.join(out_dir, "topology.csv"), range(size))
     weights, metric = import_tie_weights(os.path.join(out_dir, "ties.csv"))
     if weights and metric != cfg.metric:
         raise ConfigError(
@@ -487,40 +488,34 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> None:
     if set(weights) != set(graph.ties):
         raise ConfigError("ties.csv does not weigh exactly the ties of topology.csv")
     partition = stage_cluster(cfg, graph, weights)
-    export_partition(partition, os.path.join(out_dir, "partition.csv"))
+    return _write(out_dir, "partition.csv", export_partition, partition)
 
 
-def stage_reduce_files(cfg: PipelineConfig, out_dir) -> None:
+def stage_reduce_files(cfg: PipelineConfig, out_dir) -> list:
     agents, graph = _load_model(out_dir)
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
     if set(partition.assignment) != set(graph.nodes):
         raise ConfigError("partition.csv does not assign exactly the agents of topology.csv")
-    _write_reduced(out_dir, stage_reduce(cfg, agents, graph, partition))
+    return _write_reduced(out_dir, stage_reduce(cfg, agents, graph, partition))
 
 
-def _load_reduced(out_dir) -> tuple:
-    provenance = import_provenance(os.path.join(out_dir, "provenance.json"))
-    rep_ids = sorted(
-        entry["representative"] for entry in provenance["communities"].values()
-    )
-    population_path, topology_path = _model_paths(out_dir, "reduced_")
-    fcms = import_population(population_path)
-    if len(fcms) != len(rep_ids):
-        raise ConfigError("reduced population and provenance disagree on size")
-    agents = [Agent(i, f) for i, f in zip(rep_ids, fcms)]
-    return agents, import_topology(topology_path, rep_ids)
-
-
-def stage_simulate_files(cfg: PipelineConfig, out_dir, model: str = "original") -> None:
-    agents, graph = _load_model(out_dir) if model == "original" else _load_reduced(out_dir)
-    _write_distribution(out_dir, cfg, stage_simulate(cfg, agents, graph), model)
+def stage_simulate_files(cfg: PipelineConfig, out_dir, model: str = "original") -> list:
+    if model == "original":
+        agents, graph = _load_model(out_dir)
+    else:
+        provenance = import_provenance(os.path.join(out_dir, "provenance.json"))
+        reps = sorted(entry["representative"] for entry in provenance["communities"].values())
+        agents, graph = _load_model(out_dir, "reduced_", reps)
+    return _write_distribution(out_dir, cfg, stage_simulate(cfg, agents, graph), model)
 
 
 def stage_compare_files(
     cfg: PipelineConfig, out_dir, original_path=None, simplified_path=None
 ) -> FidelityReport:
-    original = import_distribution(original_path or _distribution_path(out_dir, "original"))
-    simplified = import_distribution(simplified_path or _distribution_path(out_dir, "reduced"))
+    original, simplified = (
+        import_distribution(path or os.path.join(out_dir, f"distribution_{model}.csv"))
+        for path, model in ((original_path, "original"), (simplified_path, "reduced"))
+    )
     if len(simplified.samples) != len(original.samples):
         # the two runs pair up by their shared per-run seeds
         raise ConfigError(

@@ -284,12 +284,21 @@ def _record_template(concepts: tuple, active: bytes, edges: bytes) -> tuple:
     return template, order
 
 
-def import_population(path) -> list[Fcm]:
+def _population_records(path) -> list:
     records = read_json(path, "population")
     if not isinstance(records, list) or not records:
         raise ConfigError(f"population file {path} must hold a non-empty JSON array")
+    return records
+
+
+def population_size(path) -> int:
+    """The number of maps in a population file, without building any."""
+    return len(_population_records(path))
+
+
+def import_population(path) -> list[Fcm]:
     fcms = []
-    for idx, record in enumerate(records):
+    for idx, record in enumerate(_population_records(path)):
         try:
             fcms.append(fcm_from_dict(record))
         except ConfigError as exc:

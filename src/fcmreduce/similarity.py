@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
 
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, check_integer
 from .fcm import Fcm
 from .files import read_csv, write_csv
 from .population import Agent, SocialGraph
@@ -101,10 +100,7 @@ class MetricConfig:
                 f"unknown centrality kind {self.centrality!r}; valid: {CENTRALITY_KINDS}"
             )
         for name in ("tsp_ensemble", "tsp_swaps_per_edge"):
-            value = getattr(self, name)
-            # bool is an int subclass, so it is excluded by name
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise MetricError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name), MetricError)
         if self.tsp_ensemble < 1 or self.tsp_swaps_per_edge < 0:
             raise MetricError("tsp ensemble parameters out of range")
 

@@ -17,7 +17,7 @@ from fcmreduce.community import (
     partition_stats,
     weighted_modularity,
 )
-from fcmreduce.errors import ContractError
+from fcmreduce.errors import ConfigError, ContractError
 from fcmreduce.population import SocialGraph
 from fcmreduce.similarity import TieWeight
 
@@ -163,6 +163,13 @@ class TestPartition:
         path = tmp_path / "partition.csv"
         export_partition(p, path)
         assert import_partition(path).assignment == p.assignment
+
+    def test_agent_listed_twice_is_config_error(self, tmp_path):
+        # the later row must not silently win
+        path = tmp_path / "partition.csv"
+        path.write_text("agent_id,community_id\n0,0\n1,1\n1,0\n2,1\n")
+        with pytest.raises(ConfigError, match="agent 1 listed twice"):
+            import_partition(path)
 
 
 class TestChineseWhispers:

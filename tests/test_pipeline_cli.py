@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmreduce import pipeline, similarity
+from fcmreduce import cli, pipeline, population, similarity
 from fcmreduce.analysis import sweep_row
 from fcmreduce.cli import main
 from fcmreduce.errors import ConfigError
@@ -208,6 +208,72 @@ class TestStageComposition:
         ):
             assert (mono / name).read_bytes() == (staged / name).read_bytes(), name
         assert sorted(os.listdir(mono)) == sorted(os.listdir(staged))
+
+    def test_cluster_builds_no_map(self, tmp_path, monkeypatch, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        built = []
+        monkeypatch.setattr(population, "fcm_from_dict", lambda *a, **k: built.append(a))
+        assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 0
+        assert built == []
+        # the population file is still checked for a non-empty array
+        (staged / "population.json").write_text("[]")
+        assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
+        assert "must hold a non-empty JSON array" in capsys.readouterr().err
+
+
+class TestCommandTable:
+    FILE_STAGES = (
+        ["generate"], ["weigh"], ["cluster"], ["reduce"],
+        ["simulate", "--model", "original"], ["simulate", "--model", "reduced"],
+    )
+    EXTRA_FLAGS = {
+        "pipeline": ["--sweep"], "generate": [], "weigh": [], "cluster": [], "reduce": [],
+        "simulate": ["--model"], "compare": ["--original", "--simplified"],
+    }
+
+    def test_wrote_line_names_the_files_the_stage_created(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "staged"
+        for argv in self.FILE_STAGES:
+            before = set(os.listdir(out)) if out.exists() else set()
+            assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+            line = capsys.readouterr().out
+            assert line.startswith("wrote ") and line.endswith(f" to {out}\n"), line
+            names = line[len("wrote "):-len(f" to {out}\n")].split(", ")
+            assert sorted(names) == sorted(set(os.listdir(out)) - before), argv
+
+    def test_calls_go_through_the_names_in_cli(self, tmp_path, monkeypatch, capsys):
+        # perfbench/layers.py wraps these names in cli's namespace
+        calls = []
+        for name in (
+            "stage_generate_files", "stage_weigh_files", "stage_cluster_files",
+            "stage_reduce_files", "stage_simulate_files", "stage_compare_files",
+            "report_to_json",
+        ):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        config_path = write_config(tmp_path)
+        for argv in self.FILE_STAGES + (["compare"], ["pipeline"]):
+            assert main(argv + ["--config", config_path, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [
+            "stage_generate_files", "stage_weigh_files", "stage_cluster_files",
+            "stage_reduce_files", "stage_simulate_files", "stage_simulate_files",
+            "stage_compare_files", "report_to_json", "report_to_json",
+        ]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_the_extra_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for flag in self.EXTRA_FLAGS[command] + ["--config", "--seed", "--out"]:
+            assert flag in text, flag
 
 
 class TestSweep:
