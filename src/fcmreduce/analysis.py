@@ -31,8 +31,6 @@ def output_kl(
     zero-width pooled range yields 0."""
     s = simplified.samples
     o = original.samples
-    if len(s) == 0 or len(o) == 0:
-        raise ReportError("output KL needs two non-empty distributions")
     lo = min(s.min(), o.min())
     hi = max(s.max(), o.max())
     if lo == hi:

@@ -240,6 +240,7 @@ def partition_stats(p: Partition) -> CommunityStats:
 # Partition file I/O: CSV agent_id,community_id
 
 _PARTITION_HEADER = ["agent_id", "community_id"]
+_PARTITION_TYPES = (int, int)
 
 
 def export_partition(p: Partition, path) -> None:
@@ -248,11 +249,7 @@ def export_partition(p: Partition, path) -> None:
 
 def import_partition(path) -> Partition:
     assignment = {}
-    for row in read_csv(path, _PARTITION_HEADER, "partition"):
-        try:
-            agent, community = int(row[0]), int(row[1])
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"malformed partition row {row!r} in {path}") from exc
+    for agent, community in read_csv(path, _PARTITION_HEADER, "partition", _PARTITION_TYPES):
         if agent in assignment:
             raise ConfigError(f"agent {agent} listed twice in {path}")
         assignment[agent] = community

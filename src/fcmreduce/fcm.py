@@ -49,11 +49,7 @@ class Fcm:
             raise ContractError(f"weight matrix shape {w.shape} does not match {n} concepts")
         if not np.all(np.isfinite(w)) or np.any(np.abs(w) > 1.0):
             raise ContractError("edge weights must lie in [-1, 1]")
-        a = np.array(self.activation, dtype=np.float64)
-        if a.shape != (n,):
-            raise ContractError(f"activation length {a.shape} does not match {n} concepts")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0) or np.any(a > 1.0):
-            raise ContractError("activation values must lie in [0, 1]")
+        a = _checked_activation(self.activation, n)
         w.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -169,12 +165,12 @@ def settle(w: np.ndarray, a: np.ndarray, stab: int, settings: SimulationSettings
     return a, settings.max_iterations, False
 
 
-def _checked_activation(fcm: Fcm, activation) -> np.ndarray:
-    """activation as a float array, held to Fcm's own activation contract:
-    one finite value in [0, 1] per concept."""
+def _checked_activation(activation, n: int) -> np.ndarray:
+    """activation as a new float array, held to the one activation contract
+    of Fcm, step() and simulate(): one finite value in [0, 1] per concept."""
     a = np.array(activation, dtype=np.float64)
-    if a.shape != (fcm.n,):
-        raise ContractError(f"activation length {a.shape} does not match {fcm.n} concepts")
+    if a.shape != (n,):
+        raise ContractError(f"activation length {a.shape} does not match {n} concepts")
     # NaN fails both comparisons, so it is rejected with the out-of-range
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ContractError("activation values must lie in [0, 1]")
@@ -183,7 +179,7 @@ def _checked_activation(fcm: Fcm, activation) -> np.ndarray:
 
 def step(fcm: Fcm, activation, settings: SimulationSettings) -> np.ndarray:
     """One synchronous update of every concept. Does not mutate its input."""
-    a = _checked_activation(fcm, activation)
+    a = _checked_activation(activation, fcm.n)
     return _update(fcm.weights, a, settings.transfer, settings.self_memory)
 
 
@@ -195,7 +191,7 @@ def simulate(fcm: Fcm, activation, settings: SimulationSettings):
     two consecutive iterations.
     """
     si = fcm.index_of(settings.stabilization_concept)
-    return settle(fcm.weights, _checked_activation(fcm, activation), si, settings)
+    return settle(fcm.weights, _checked_activation(activation, fcm.n), si, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,6 @@ def fcm_from_dict(data: dict) -> Fcm:
         activation_items = list(data.get("activation", {}).items())
     except (TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"malformed FCM object: {exc}") from exc
-    if len(index) != len(concepts):
-        raise ConfigError("duplicate concept label in FCM object")
     n = len(concepts)
     weights = np.zeros((n, n))
     for e in edges:

@@ -2,9 +2,12 @@
 
 Stage files are UTF-8 text. A reader turns a missing, unreadable (a
 directory, say), undecodable or malformed file into ConfigError (CLI exit
-1); each format's row parsing and checks stay with the module that owns
-the format. A writer writes `<path>.tmp` and then replaces the target, so
-a failed write leaves the previous file untouched.
+1). read_csv is the one CSV row parser: it checks the header and each
+row's field count, and applies the field types that the owning module
+declares next to its header. Each format's semantic checks (ranges,
+duplicates, run indices) stay with the module that owns the format. A
+writer writes `<path>.tmp` and then replaces the target, so a failed write
+leaves the previous file untouched.
 """
 
 from __future__ import annotations
@@ -44,19 +47,24 @@ def write_json(path, value) -> None:
         json.dump(value, fh, indent=2, sort_keys=True)
 
 
-def read_csv(path, header: list, what: str):
-    """Yield the non-blank rows of a CSV file whose first row is `header`.
-    The whole file is decoded first, so a byte that is not UTF-8 is reported
-    as such rather than as a bad header or row before it."""
+def read_csv(path, header: list, what: str, types: tuple):
+    """Yield the non-blank rows of a CSV file whose first row is `header`,
+    each with exactly the header's fields and field k converted by
+    `types[k]`. The whole file is decoded first, so a byte that is not UTF-8
+    is reported as such rather than as a bad header or row before it."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(io.StringIO(fh.read(), newline=""))
         found = next(reader, None)
         if found != header:
             raise ConfigError(f"unexpected {what} header {found!r} in {path}")
-        for row in reader:
-            if row:
-                yield row
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                yield [convert(field) for convert, field in zip(types, row)]
+            except ValueError as exc:
+                raise ConfigError(f"malformed {what} row {row!r} in {path}: {exc}") from exc
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:

@@ -192,32 +192,26 @@ def run_distribution(
 # with the run spec and master seed.
 
 _DISTRIBUTION_HEADER = ["run_index", "output_value"]
+_DISTRIBUTION_TYPES = (int, float)
 
 
-def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_path=None) -> None:
+def export_distribution(dist: OutputDistribution, spec: RunSpec, path, sidecar_path) -> None:
     write_csv(path, _DISTRIBUTION_HEADER, (
         [idx, repr(float(value))] for idx, value in enumerate(dist.samples)
     ))
-    if sidecar_path is not None:
-        write_json(sidecar_path, asdict(spec))
+    write_json(sidecar_path, asdict(spec))
 
 
 def import_distribution(path) -> OutputDistribution:
     """Read a distribution CSV. Its run_index column must read 0..n-1 in
     file order: sample i is the run seeded from (master_seed, "run", i)."""
     samples = []
-    for row in read_csv(path, _DISTRIBUTION_HEADER, "distribution"):
-        try:
-            index, value = int(row[0]), float(row[1])
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"malformed distribution row {row!r} in {path}") from exc
+    for index, value in read_csv(path, _DISTRIBUTION_HEADER, "distribution", _DISTRIBUTION_TYPES):
         if index != len(samples):
             raise ConfigError(
-                f"distribution row {row!r} in {path} should have run_index {len(samples)}"
+                f"distribution row {index},{value!r} in {path} should have run_index {len(samples)}"
             )
         samples.append(value)
-    if not samples:
-        raise ConfigError(f"distribution file {path} holds no samples")
     try:
         return OutputDistribution(np.array(samples))
     except ContractError as exc:

@@ -329,8 +329,7 @@ def build_topology(spec: TopologySpec) -> SocialGraph:
                 spec.n, spec.m, seed=seed, initial_graph=nx.complete_graph(spec.m)
             )
         if all(d > 0 for _, d in g.degree()):
-            ties = tuple(sorted((i, j) if i < j else (j, i) for i, j in g.edges()))
-            return SocialGraph(tuple(range(spec.n)), ties)
+            return SocialGraph(tuple(range(spec.n)), tuple(g.edges()))
     raise GenerationError(
         f"{spec.kind} topology left isolated nodes in {_MAX_TOPOLOGY_RETRIES} attempts "
         f"(n={spec.n}); increase connectivity parameters"
@@ -359,27 +358,24 @@ def assign_channels(graph: SocialGraph, agents: list[Agent], seed: int) -> Socia
 # Topology file I/O: edge-list CSV i,j,channel_label
 
 _TOPOLOGY_HEADER = ["i", "j", "channel_label"]
+_TOPOLOGY_TYPES = (int, int, str)
 
 
 def export_topology(graph: SocialGraph, path) -> None:
-    write_csv(path, _TOPOLOGY_HEADER, (
-        [i, j, graph.channels[(i, j)] if graph.channels else ""] for i, j in graph.ties
-    ))
+    if graph.channels is None:
+        raise ContractError("a topology file needs a graph with assigned channels")
+    write_csv(path, _TOPOLOGY_HEADER, ([*tie, graph.channels[tie]] for tie in graph.ties))
 
 
 def import_topology(path, nodes) -> SocialGraph:
     """Read an edge-list CSV back into a SocialGraph over the given nodes."""
     ties = []
     channels = {}
-    for row in read_csv(path, _TOPOLOGY_HEADER, "topology"):
-        try:
-            i, j, label = int(row[0]), int(row[1]), row[2]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed topology row {row!r} in {path}: {exc}") from exc
+    for i, j, label in read_csv(path, _TOPOLOGY_HEADER, "topology", _TOPOLOGY_TYPES):
         ties.append((i, j))
         if label:
             channels[(i, j)] = label
     try:
-        return SocialGraph(tuple(nodes), tuple(ties), channels or None)
+        return SocialGraph(tuple(nodes), tuple(ties), channels)
     except ContractError as exc:
         raise ConfigError(f"topology file {path}: {exc}") from exc

@@ -442,6 +442,7 @@ def weigh_ties(
 # Tie-weight file I/O: CSV i,j,metric,dissimilarity,similarity
 
 _TIE_HEADER = ["i", "j", "metric", "dissimilarity", "similarity"]
+_TIE_TYPES = (int, int, str, float, float)
 
 
 def export_tie_weights(weights: dict, metric: str, path) -> None:
@@ -456,12 +457,11 @@ def import_tie_weights(path) -> tuple[dict, str]:
     is "" for a file without rows."""
     weights = {}
     metrics = set()
-    for row in read_csv(path, _TIE_HEADER, "tie-weight"):
+    for i, j, metric, dissimilarity, _ in read_csv(path, _TIE_HEADER, "tie-weight", _TIE_TYPES):
         try:
-            i, j, metric = int(row[0]), int(row[1]), row[2]
-            weight = TieWeight(float(row[3]))
-        except (IndexError, ValueError, MetricError) as exc:
-            raise ConfigError(f"malformed tie-weight row {row!r} in {path}: {exc}") from exc
+            weight = TieWeight(dissimilarity)
+        except MetricError as exc:
+            raise ConfigError(f"malformed tie-weight row ({i}, {j}) in {path}: {exc}") from exc
         tie = (i, j) if i < j else (j, i)
         if tie in weights:
             raise ConfigError(f"tie {tie} listed twice in {path}")

@@ -149,10 +149,7 @@ def degree_preserving_randomization(
 
 
 def triad_significance_profile(
-    adjacency: np.ndarray,
-    ensemble_size: int = 20,
-    swaps_per_edge: int = 10,
-    rng: np.random.Generator | None = None,
+    adjacency: np.ndarray, ensemble_size: int, swaps_per_edge: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Unit-normalized z-scores of the 16 triad counts against a
     degree-preserving random ensemble.
@@ -160,8 +157,6 @@ def triad_significance_profile(
     Classes whose count never varies across the ensemble get z = 0; a profile
     with no varying class at all stays the zero vector.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     observed = triad_census(adjacency).astype(np.float64)
     randomized = np.empty((ensemble_size, *np.shape(adjacency)), dtype=bool)
     for e in range(ensemble_size):

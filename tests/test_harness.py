@@ -284,7 +284,7 @@ class TestDistributionIO:
         assert meta["master_seed"] == 9
         assert meta["settings"]["stabilization_concept"] == "Awareness"
 
-    @pytest.mark.parametrize("row", ["0", "0,abc", "0,nan", "0,1.5"])
+    @pytest.mark.parametrize("row", ["0", "0,abc", "0,nan", "0,1.5", "1,0.5,extra"])
     def test_malformed_row_is_config_error(self, tmp_path, row):
         path = tmp_path / "dist.csv"
         path.write_text(f"run_index,output_value\n0,0.5\n{row}\n")

@@ -413,6 +413,32 @@ class TestCliErrors:
         assert main(["weigh", "--config", path, "--out", staged]) == 2
         assert failure in capsys.readouterr().err
 
+    def test_out_of_memory_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # a huge kl_bins or tsp_ensemble makes numpy raise a MemoryError
+        # subclass; raising one directly allocates nothing
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.3 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        path = write_config(tmp_path)
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate" in err
+        assert "Traceback" not in err
+
+    def test_blank_channel_labels_exit_1_in_every_reader(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh", "cluster"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        topology = staged / "topology.csv"
+        header, *rows = topology.read_text().splitlines(keepends=True)
+        topology.write_text(header + "".join(r.rsplit(",", 1)[0] + ",\n" for r in rows))
+        capsys.readouterr()
+        for stage in ("weigh", "cluster", "reduce", "simulate"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 1, stage
+            assert "channels missing" in capsys.readouterr().err
+
     def test_stage_missing_inputs_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = main(["weigh", "--config", path, "--out", str(tmp_path / "emptydir")])
@@ -458,6 +484,7 @@ class TestCliErrors:
         for text, message in (
             ("agent_id,community_id\n0\n", "malformed partition row"),
             ("agent_id,community_id\n0,x\n", "malformed partition row"),
+            ("agent_id,community_id\n0,0,junk\n", "malformed partition row"),
             ("agent_id,community_id\n0,1\n", "dense"),
             ("a,b\n0,0\n", "unexpected partition header"),
         ):

@@ -361,6 +361,13 @@ class TestTopologyIO:
         assert loaded.ties == g.ties
         assert loaded.channels == g.channels
 
+    def test_graph_without_channels_is_not_written(self, tmp_path):
+        # import_topology rejects a row without a channel label
+        g = build_topology(TopologySpec("small_world", n=10, k=4, beta=0.2, seed=2))
+        with pytest.raises(ContractError, match="assigned channels"):
+            export_topology(g, tmp_path / "topo.csv")
+        assert not (tmp_path / "topo.csv").exists()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "topo.csv"
         path.write_text("a,b,c\n0,1,X\n")
@@ -374,6 +381,8 @@ class TestTopologyIO:
             ("0,1,X\n0,5,X\n", "unknown node"),
             ("0,1,X\n1,0,X\n", "duplicate ties"),
             ("0,1,X\n1,2,\n", "channels missing"),
+            ("0,1,\n1,2,\n", "channels missing"),
+            ("0,1,X,extra\n", "malformed topology row"),
         ],
     )
     def test_bad_ties_are_config_errors(self, tmp_path, rows, message):

@@ -779,6 +779,7 @@ class TestWeighTies:
         [
             "0", "1,2", "0,abc,density,0.5,0.6", "0,1,density,abc,0.6",
             "0,1,density,-0.5,1.6", "0,1,density,nan,0.6", "0,1,density,inf,0.0",
+            "0,1,density,0.5,0.6,extra",
         ],
     )
     def test_malformed_tie_row_is_config_error(self, tmp_path, row):
