@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .analysis import report_to_json
-from .errors import ConfigError, FcmReduceError
+from .errors import ConfigError, FcmReduceError, number_text
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -29,9 +29,13 @@ from .pipeline import (
 )
 
 
+def integer(text: str) -> int:
+    return int(number_text(text))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON pipeline config file")
-    parser.add_argument("--seed", type=int, help="override the master seed")
+    parser.add_argument("--seed", type=integer, help="override the master seed")
     parser.add_argument("--metric", help="override the similarity metric")
     parser.add_argument("--algorithm", help="override the community algorithm")
     parser.add_argument("--topology", help="override the topology kind")

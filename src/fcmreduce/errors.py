@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package, and the one integer check."""
+"""Exception hierarchy shared across the package, and the one rule for the
+integers and numbers taken in: as values, bool excluded; as text, plain ASCII."""
 
+import math
 import numbers
+from sys import float_info
 
 
 class FcmReduceError(Exception):
@@ -31,8 +34,32 @@ class ReportError(FcmReduceError):
     """Fidelity reporting was asked to summarize unusable data."""
 
 
-def check_integer(name: str, value, error: type[FcmReduceError]) -> None:
-    """Raise `error` unless value is an integer. bool is an int subclass, so
-    it is excluded by name."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise error(f"{name} must be an integer, got {value!r}")
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    # NaN, infinities and ints beyond float range fail; float and int skip the class test
+    if type(value) is float or type(value) is int:
+        return abs(value) <= float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def plain(value):
+    """An accepted integer or number as the int or float that json writes."""
+    return int(value) if is_integer(value) else float(value)
+
+
+def check_integer(name: str, value, error: type[FcmReduceError], minimum: int) -> int:
+    """value as a plain int; `error` unless it is an integer >= minimum."""
+    if not is_integer(value) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def number_text(text: str) -> str:
+    """text, unless it holds a blank, a '_' or a non-ASCII character, which
+    int() and float() take but no writer emits: then ValueError."""
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return text

@@ -10,12 +10,11 @@ falls below a tolerance) or an iteration cap is hit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_integer
+from .errors import ConfigError, ContractError, check_integer, is_number, plain
 
 TRANSFER_FUNCTIONS = ("tanh", "sigmoid")
 
@@ -99,17 +98,12 @@ class SimulationSettings:
     self_memory: bool = True
 
     def __post_init__(self):
-        iterations, tolerance = self.max_iterations, self.stabilization_tolerance
-        check_integer("max_iterations", iterations, ConfigError)
-        if iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        # bool is an int subclass, so it is excluded by name
-        if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
-            raise ConfigError(f"stabilization_tolerance must be a number, got {tolerance!r}")
-        if not tolerance > 0:
-            raise ConfigError("stabilization_tolerance must be > 0")
-        if not math.isfinite(tolerance):
-            raise ConfigError("stabilization_tolerance must be finite")
+        object.__setattr__(self, "max_iterations", check_integer(
+            "max_iterations", self.max_iterations, ConfigError, 1))
+        tolerance = self.stabilization_tolerance
+        if not (is_number(tolerance) and tolerance > 0):
+            raise ConfigError(f"stabilization_tolerance must be a number > 0, got {tolerance!r}")
+        object.__setattr__(self, "stabilization_tolerance", plain(tolerance))
         if self.transfer not in TRANSFER_FUNCTIONS:
             raise ConfigError(
                 f"unknown transfer function {self.transfer!r}; valid: {TRANSFER_FUNCTIONS}"
@@ -214,35 +208,37 @@ def fcm_to_dict(fcm: Fcm) -> dict:
 
 def fcm_from_dict(data: dict) -> Fcm:
     try:
-        concepts = list(data["concepts"])
+        concepts, edges = data["concepts"], data.get("edges", [])
+        if not isinstance(concepts, list) or not isinstance(edges, list):
+            raise TypeError("concepts and edges must be arrays")
         index = {c: i for i, c in enumerate(concepts)}
-        edges = list(data.get("edges", []))
         activation_items = list(data.get("activation", {}).items())
     except (TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"malformed FCM object: {exc}") from exc
     n = len(concepts)
     weights = np.zeros((n, n))
+    seen = set()
     for e in edges:
         try:
-            s, t, w = e["source"], e["target"], float(e["weight"])
-            known = s in index and t in index
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            s, t, w = e["source"], e["target"], e["weight"]
+            cell = index.get(s), index.get(t)
+        except (TypeError, KeyError) as exc:
             raise ConfigError(f"malformed edge record {e!r}") from exc
-        if not known:
+        if None in cell:
             raise ConfigError(f"edge {s!r} -> {t!r} references an unknown concept")
-        if abs(w) > 1.0:
-            raise ConfigError(f"edge {s!r} -> {t!r} has weight {w} outside [-1, 1]")
-        if weights[index[s], index[t]] != 0.0:
+        if not (is_number(w) and abs(w) <= 1.0):
+            raise ConfigError(f"edge {s!r} -> {t!r} has weight {w!r}, not a number in [-1, 1]")
+        if cell in seen:
             raise ConfigError(f"edge {s!r} -> {t!r} listed twice")
-        weights[index[s], index[t]] = w
+        seen.add(cell)
+        weights[cell] = w
     activation = np.zeros(n)
     for label, value in activation_items:
         if label not in index:
             raise ConfigError(f"activation references unknown concept {label!r}")
-        try:
-            activation[index[label]] = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"activation of {label!r} is not a number: {value!r}") from exc
+        if not is_number(value):
+            raise ConfigError(f"activation of {label!r} is not a number: {value!r}")
+        activation[index[label]] = value
     try:
         return Fcm(tuple(concepts), weights, activation)
     except ContractError as exc:

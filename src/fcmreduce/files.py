@@ -2,12 +2,12 @@
 
 Stage files are UTF-8 text. A reader turns a missing, unreadable (a
 directory, say), undecodable or malformed file into ConfigError (CLI exit
-1). read_csv is the one CSV row parser: it checks the header and each
-row's field count, and applies the field types that the owning module
-declares next to its header. Each format's semantic checks (ranges,
-duplicates, run indices) stay with the module that owns the format. A
-writer writes `<path>.tmp` and then replaces the target, so a failed write
-leaves the previous file untouched.
+1). read_csv is the one CSV row parser: it checks the header and each row's
+field count, and applies the field types that the owning module declares
+next to its header, a number type only to plain ASCII text (the rule of
+errors). Each format's semantic checks (ranges, duplicates, run indices)
+stay with the module that owns the format. A writer writes `<path>.tmp` and
+then replaces the target, so a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 from contextlib import contextmanager, suppress
 
-from .errors import ConfigError
+from .errors import ConfigError, number_text
 
 
 @contextmanager
@@ -62,7 +62,7 @@ def read_csv(path, header: list, what: str, types: tuple):
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, expected {len(header)}")
-                yield [convert(field) for convert, field in zip(types, row)]
+                yield [kind(f if kind is str else number_text(f)) for kind, f in zip(types, row)]
             except ValueError as exc:
                 raise ConfigError(f"malformed {what} row {row!r} in {path}: {exc}") from exc
     except FileNotFoundError:

@@ -39,11 +39,8 @@ class RunSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("rounds", "repeats"):
-            value = getattr(self, name)
-            check_integer(name, value, ConfigError)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name in ("rounds", "repeats"):  # stored plain for the JSON sidecar
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, 1))
 
 
 @dataclass

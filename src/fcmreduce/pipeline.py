@@ -12,7 +12,6 @@ singleton partition therefore reproduces the original distribution exactly).
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .analysis import (
@@ -31,7 +30,7 @@ from .community import (
     import_partition,
     partition_stats,
 )
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, check_integer, is_integer, is_number, plain
 from .fcm import SimulationSettings
 from .files import read_json, write_csv, write_json, writing
 from .harness import (
@@ -78,16 +77,9 @@ COMMUNITY_ALGORITHMS = ("chinese_whispers", "agglomerative")
 _DEFAULT_CONCEPT = {"obesity-variants": "Obesity", "cmaes-style": "Awareness"}
 
 # Per field annotation of PipelineConfig: what a value must be, and the test.
-# bool is a subclass of int, so the number types exclude it by name; a float
-# field takes an int too, and the bound rejects NaN, infinities and ints that
-# no float can hold.
 FIELD_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": (
-        "a finite number",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max,
-    ),
+    "int": ("an integer", is_integer),
+    "float": ("a finite number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
@@ -146,6 +138,8 @@ class PipelineConfig:
             wanted, accepts = FIELD_TYPES[f.type]
             if not accepts(value):
                 raise ConfigError(f"config key {f.name!r} must be {wanted}, got {value!r:.60}")
+            if f.type in ("int", "float"):  # report.json echoes the config
+                object.__setattr__(self, f.name, plain(value))
         if self.source not in POPULATION_SOURCES:
             raise ConfigError(
                 f"unknown population source {self.source!r}; valid: {POPULATION_SOURCES}"
@@ -167,12 +161,8 @@ class PipelineConfig:
             )
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1")
-        if self.kl_bins < 1:
-            raise ConfigError("kl_bins must be >= 1")
+        for name in ("workers", "max_rounds", "kl_bins"):
+            check_integer(name, getattr(self, name), ConfigError, 1)
         if not self.kl_alpha > 0:
             raise ConfigError("kl_alpha must be > 0")
         self.run_spec()

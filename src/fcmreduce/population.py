@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .errors import ChannelError, ConfigError, ContractError, GenerationError
+from .errors import ChannelError, ConfigError, ContractError, GenerationError, check_integer, is_number
 # fcm_to_dict defines the record export_population writes; perfbench/layers.py
 # wraps it under this module's name
 from .fcm import Fcm, fcm_from_dict, fcm_to_dict  # noqa: F401
@@ -185,10 +185,9 @@ def generate_variants(base: Fcm, count: int, jitter: float, seed: int) -> list[F
     """count copies of base with each nonzero weight perturbed by uniform
     noise in [-jitter, +jitter], clamped to [-1, 1]. Zero entries stay zero;
     structure and activation are shared with base."""
-    if count < 1:
-        raise ConfigError("variant count must be >= 1")
-    if jitter < 0:
-        raise ConfigError("jitter must be >= 0")
+    check_integer("variant count", count, ConfigError, 1)
+    if not (is_number(jitter) and jitter >= 0):
+        raise ConfigError("jitter must be a number >= 0")
     rng = rng_for(seed, "variants")
     mask = base.weights != 0.0
     nnz = int(mask.sum())
@@ -203,8 +202,7 @@ def generate_variants(base: Fcm, count: int, jitter: float, seed: int) -> list[F
 def generate_cmaes_style(count: int, seed: int) -> list[Fcm]:
     """count fully connected 15-concept FCMs: off-diagonal weights uniform in
     [-1, 1], activations uniform in [0, 1], all drawn per agent."""
-    if count < 1:
-        raise ConfigError("population count must be >= 1")
+    check_integer("population count", count, ConfigError, 1)
     rng = rng_for(seed, "cmaes")
     n = len(CMAES_CONCEPTS)
     off_diag = ~np.eye(n, dtype=bool)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .community import Partition
-from .errors import ChannelError, ConfigError, ContractError
+from .errors import ChannelError, ConfigError, ContractError, is_integer
 from .files import read_json, write_json
 from .population import Agent, SocialGraph
 from .seeding import rng_for
@@ -125,9 +125,9 @@ def import_provenance(path) -> dict:
     for comm, entry in communities.items():
         if not (
             isinstance(entry, dict)
-            and type(entry.get("representative")) is int
+            and is_integer(entry.get("representative"))
             and isinstance(entry.get("members"), list)
-            and all(type(m) is int for m in entry["members"])
+            and all(map(is_integer, entry["members"]))
         ):
             raise ConfigError(f"provenance file {path}: malformed community {comm!r}")
     return provenance

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .errors import ConfigError, MetricError, check_integer
+from .errors import ConfigError, MetricError, check_integer, is_number
 from .fcm import Fcm
 from .files import read_csv, write_csv
 from .population import Agent, SocialGraph
@@ -37,8 +37,8 @@ class StructuralView:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise MetricError("presence threshold epsilon must be >= 0")
+        if not (is_number(self.epsilon) and self.epsilon >= 0):
+            raise MetricError("presence threshold epsilon must be a number >= 0")
 
     def adjacency(self, fcm: Fcm) -> np.ndarray:
         adj = (fcm.weights != 0.0) & (np.abs(fcm.weights) >= self.epsilon)
@@ -56,10 +56,10 @@ class DiscretizationSpec:
     alpha: float = 1e-6
 
     def __post_init__(self):
-        if self.node_bins < 2 or self.edge_bins < 2:
-            raise MetricError("histograms need at least 2 bins")
-        if not self.alpha > 0:
-            raise MetricError("smoothing alpha must be > 0")
+        for name in ("node_bins", "edge_bins"):
+            check_integer(name, getattr(self, name), MetricError, 2)
+        if not (is_number(self.alpha) and self.alpha > 0):
+            raise MetricError("smoothing alpha must be a number > 0")
 
     @property
     def node_edges(self) -> np.ndarray:
@@ -99,10 +99,8 @@ class MetricConfig:
             raise MetricError(
                 f"unknown centrality kind {self.centrality!r}; valid: {CENTRALITY_KINDS}"
             )
-        for name in ("tsp_ensemble", "tsp_swaps_per_edge"):
-            check_integer(name, getattr(self, name), MetricError)
-        if self.tsp_ensemble < 1 or self.tsp_swaps_per_edge < 0:
-            raise MetricError("tsp ensemble parameters out of range")
+        check_integer("tsp_ensemble", self.tsp_ensemble, MetricError, 1)
+        check_integer("tsp_swaps_per_edge", self.tsp_swaps_per_edge, MetricError, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +451,17 @@ def export_tie_weights(weights: dict, metric: str, path) -> None:
 
 
 def import_tie_weights(path) -> tuple[dict, str]:
-    """Read a tie-weight CSV; returns (weights map, metric name). The metric
-    is "" for a file without rows."""
+    """Read a tie-weight CSV; returns (weights map, metric name), the metric
+    "" for a file without rows. Each similarity must be exp(-dissimilarity)."""
     weights = {}
     metrics = set()
-    for i, j, metric, dissimilarity, _ in read_csv(path, _TIE_HEADER, "tie-weight", _TIE_TYPES):
+    for i, j, metric, dissimilarity, similarity in read_csv(path, _TIE_HEADER, "tie-weight", _TIE_TYPES):
         try:
             weight = TieWeight(dissimilarity)
         except MetricError as exc:
             raise ConfigError(f"malformed tie-weight row ({i}, {j}) in {path}: {exc}") from exc
+        if similarity != weight.similarity:
+            raise ConfigError(f"tie ({i}, {j}) in {path}: similarity is not exp(-dissimilarity)")
         tie = (i, j) if i < j else (j, i)
         if tie in weights:
             raise ConfigError(f"tie {tie} listed twice in {path}")

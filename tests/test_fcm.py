@@ -318,12 +318,14 @@ class TestFileFormat:
             fcm_from_dict({"concepts": ["A", "A"], "edges": []})
 
     def test_duplicate_edge_rejected(self):
-        d = {
-            "concepts": ["A", "B"],
-            "edges": [
-                {"source": "A", "target": "B", "weight": 0.1},
-                {"source": "A", "target": "B", "weight": 0.2},
-            ],
-        }
-        with pytest.raises(ConfigError, match="twice"):
-            fcm_from_dict(d)
+        # a zero weight first used to leave its cell free for the repeat
+        for first in (0.1, 0.0):
+            d = {
+                "concepts": ["A", "B"],
+                "edges": [
+                    {"source": "A", "target": "B", "weight": first},
+                    {"source": "A", "target": "B", "weight": 0.2},
+                ],
+            }
+            with pytest.raises(ConfigError, match="twice"):
+                fcm_from_dict(d)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import threading
 
@@ -256,6 +257,16 @@ class TestSpecValidation:
     def test_numpy_integer_rounds_accepted(self):
         spec = RunSpec("A", SimulationSettings("A"), rounds=np.int64(3), repeats=np.int32(2))
         assert (spec.rounds, spec.repeats) == (3, 2)
+
+    def test_spec_of_numpy_scalars_exports(self, tmp_path):
+        settings = SimulationSettings("A", max_iterations=np.int16(7),
+                                      stabilization_tolerance=np.float32(0.05))
+        spec = RunSpec("A", settings, rounds=np.int64(3), repeats=np.int32(2))
+        sidecar = tmp_path / "runspec.json"
+        export_distribution(OutputDistribution([0.5, 0.25]), spec, tmp_path / "d.csv", sidecar)
+        meta = json.loads(sidecar.read_text())
+        assert (meta["rounds"], meta["repeats"], meta["settings"]["max_iterations"]) == (3, 2, 7)
+        assert meta["settings"]["stabilization_tolerance"] == float(np.float32(0.05))
 
     def test_distribution_requires_unit_interval(self):
         with pytest.raises(ContractError):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -337,6 +338,13 @@ class TestSweep:
             assert simplified_of.setdefault(key, simplified) is simplified
         assert len({id(s) for s in simplified_of.values()}) == len(distinct)
 
+    def test_sweep_through_the_cli(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, dict(self.SMALL, topology="small_world"))
+        out = tmp_path / "sweep"
+        assert main(["pipeline", "--sweep", "--config", config_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"sweep complete: 66 cells -> {out}/sweep.csv\n"
+        assert sorted(os.listdir(out)) == ["config.json", "sweep.csv"]
+
     def test_knob_bad_for_another_topology_rejected_before_any_work(self, tmp_path):
         # k=3 is no small-world ring degree; the random topology ignores k
         cfg = config_from_dict({"topology": "random", "p": 0.3, "k": 3, "count": 18})
@@ -539,10 +547,10 @@ class TestCliErrors:
         if edit == "missing tie":
             lines.pop()
         elif edit == "self tie":
-            lines.append("1,1,jaccard_edges,0.5,0.6\n")
+            lines.append("1,1,jaccard_edges,0.5,0.6065306597126334\n")
         else:
             j = next(j for j in range(1, 40) if (0, j) not in topology)
-            lines.append(f"0,{j},jaccard_edges,0.5,0.6\n")
+            lines.append(f"0,{j},jaccard_edges,0.5,0.6065306597126334\n")
         ties.write_text("".join(lines))
         assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
         assert "ties of topology.csv" in capsys.readouterr().err
@@ -631,3 +639,136 @@ class TestCliErrors:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "kl_divergence" in payload
+
+    def test_command_without_config_uses_the_defaults(self, tmp_path, capsys):
+        out = tmp_path / "staged"
+        assert main(["generate", "--out", str(out), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == f"wrote population.json, topology.csv to {out}\n"
+        assert population.population_size(out / "population.json") == PipelineConfig().count
+
+    @pytest.mark.parametrize("seed", ["abc", "1_0", " 3", "\u0663", "3.0"])
+    def test_seed_must_be_plain_integer_text(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exit_:
+            main(["generate", "--out", str(tmp_path / "o"), "--seed", seed])
+        assert exit_.value.code == 2
+        assert f"argument --seed: invalid integer value: {seed!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_reduced_on_population_of_another_size_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        reduced = out / "reduced_population.json"
+        reduced.write_text(json.dumps(json.loads(reduced.read_text())[1:]))
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--model", "reduced"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: reduced population and provenance disagree on size"
+        )
+
+    def test_generate_on_population_without_output_concept_exits_1(self, tmp_path, capsys):
+        pop = tmp_path / "pop.json"
+        export_population(generate_cmaes_style(8, seed=1), pop)
+        path = write_config(tmp_path, {
+            "source": "import", "population_path": str(pop), "k": 2,
+            "output_concept": "Obesity", "stabilization_concept": "Awareness",
+        })
+        assert main(["generate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: output concept 'Obesity' missing from agent 0's FCM"
+        )
+
+    def test_simulate_on_channel_a_map_lacks_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        assert main(["generate", "--config", config_path, "--out", str(staged)]) == 0
+        capsys.readouterr()
+        topology = staged / "topology.csv"
+        header, first, *rest = topology.read_text().splitlines(keepends=True)
+        i, j, _ = first.split(",")
+        topology.write_text(header + f"{i},{j},Obesity\r\n" + "".join(rest))
+        assert main(["simulate", "--config", config_path, "--out", str(staged)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: tie ({i}, {j}): concept 'Obesity' not in FCM"
+        )
+
+    def test_tie_similarity_not_of_its_dissimilarity_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        capsys.readouterr()
+        ties = staged / "ties.csv"
+        with open(ties, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][4] = repr(float(rows[1][4]) / 2)
+        with open(ties, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
+        assert "similarity is not exp(-dissimilarity)" in capsys.readouterr().err
+        assert not (staged / "partition.csv").exists()
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                    "\u0665\u0666\u0667\u0668\u0669")
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The work directory of one SMOKE pipeline run, and its config."""
+    tmp = tmp_path_factory.mktemp("full")
+    config_path = write_config(tmp)
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp / "out")]) == 0
+    return config_path, tmp / "out"
+
+
+class TestNumberText:
+    """A number field must be plain ASCII text, as the writers emit it; int()
+    and float() would also read each of these spoiled fields as the value
+    written, so each file below still loads that way without the rule."""
+
+    @pytest.mark.parametrize("name, column, command, what", [
+        ("topology.csv", 1, "weigh", "topology"),
+        ("partition.csv", 0, "reduce", "partition"),
+        ("distribution_reduced.csv", 1, "compare", "distribution"),
+    ])
+    @pytest.mark.parametrize("spoil", [
+        lambda text: "0_" + text,
+        lambda text: " " + text,
+        lambda text: text.translate(ARABIC_INDIC_DIGITS),
+    ], ids=["digit separator", "leading blank", "Arabic-Indic digits"])
+    def test_spoiled_number_field_exits_1(
+        self, full_run, tmp_path, capsys, name, column, command, what, spoil
+    ):
+        config_path, full = full_run
+        out = tmp_path / "out"
+        shutil.copytree(full, out)
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][column] = spoil(rows[1][column])
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
+        assert f"malformed {what} row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spoil", [
+        lambda record: record["edges"][0].update(weight="0.5"),
+        lambda record: record["edges"][0].update(weight=True),
+        lambda record: record["activation"].update(A=False),
+        lambda record: record.update(concepts="AB"),
+    ], ids=["weight as a string", "weight true", "activation false", "concepts as a string"])
+    def test_population_value_not_a_json_number_or_array_exits_1(self, tmp_path, capsys, spoil):
+        record = {"concepts": ["A", "B"], "activation": {"A": 0.5},
+                  "edges": [{"source": "A", "target": "B", "weight": 0.5}]}
+        records = [json.loads(json.dumps(record)) for _ in range(6)]
+        spoil(records[0])
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps(records))
+        path = write_config(tmp_path, {
+            "source": "import", "population_path": str(pop), "k": 2,
+            "output_concept": "A", "stabilization_concept": "A",
+        })
+        assert main(["generate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: population record 0: ")

@@ -147,6 +147,11 @@ class TestVariants:
             generate_variants(base, 0, 0.1, seed=1)
         with pytest.raises(ConfigError):
             generate_variants(base, 1, -0.1, seed=1)
+        # nan used to reach rng.uniform as an OverflowError
+        with pytest.raises(ConfigError, match="jitter"):
+            generate_variants(base, 2, float("nan"), seed=0)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            generate_variants(base, 2.5, 0.1, seed=0)
 
 
 class TestCmaesStyle:
@@ -179,6 +184,11 @@ class TestCmaesStyle:
     def test_agents_differ(self):
         a, b = generate_cmaes_style(2, seed=7)
         assert not np.array_equal(a.weights, b.weights)
+
+    def test_non_integer_count_rejected(self):
+        # 2.5 used to end in a TypeError traceback from range()
+        with pytest.raises(ConfigError, match="must be an integer"):
+            generate_cmaes_style(2.5, seed=0)
 
 
 class TestPopulationIO:

@@ -60,6 +60,18 @@ def fcm_from_adjacency(adj, activation=None):
     return Fcm(tuple(f"N{i}" for i in range(n)), w, a)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StructuralView(math.nan),
+    lambda: DiscretizationSpec(alpha=math.inf),
+    lambda: DiscretizationSpec(node_bins=2.5),
+], ids=["epsilon nan", "alpha inf", "node_bins 2.5"])
+def test_view_or_grid_value_outside_its_type_rejected(build):
+    # nan used to drop every arc, an infinite alpha gave a NaN distance and
+    # 2.5 bins a TypeError from np.linspace
+    with pytest.raises(MetricError):
+        build()
+
+
 class TestConceptCount:
     def test_worked_example_six_seven(self):
         a, b = fcm_with_n_concepts(6), fcm_with_n_concepts(7)
@@ -773,6 +785,7 @@ class TestWeighTies:
             assert loaded[tie].similarity == weights[tie].similarity
 
     HEADER = "i,j,metric,dissimilarity,similarity\n"
+    D_S = "0.5,0.6065306597126334"  # a dissimilarity and the repr of its exp(-d)
 
     @pytest.mark.parametrize(
         "row",
@@ -801,13 +814,13 @@ class TestWeighTies:
 
     def test_duplicate_tie_rejected(self, tmp_path):
         path = tmp_path / "ties.csv"
-        path.write_text(self.HEADER + "0,1,density,0.5,0.6\n1,0,density,0.5,0.6\n")
+        path.write_text(self.HEADER + f"0,1,density,{self.D_S}\n1,0,density,{self.D_S}\n")
         with pytest.raises(ConfigError, match="twice"):
             import_tie_weights(path)
 
     def test_mixed_metrics_rejected(self, tmp_path):
         path = tmp_path / "ties.csv"
-        path.write_text(self.HEADER + "0,1,density,0.5,0.6\n1,2,tsp,0.5,0.6\n")
+        path.write_text(self.HEADER + f"0,1,density,{self.D_S}\n1,2,tsp,{self.D_S}\n")
         with pytest.raises(ConfigError, match="mixes metrics"):
             import_tie_weights(path)
 
