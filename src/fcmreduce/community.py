@@ -16,11 +16,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, ContractError
 from .files import read_csv, write_csv
-from .population import SocialGraph
+from .population import SocialGraph, agent_id
 from .seeding import rng_for
 
 
@@ -33,7 +31,7 @@ class Partition:
     rounds_used: int | None = None
 
     def __post_init__(self):
-        self.assignment = {int(k): int(v) for k, v in self.assignment.items()}
+        self.assignment = {agent_id(k): agent_id(c, "community id") for k, c in self.assignment.items()}
         if not self.assignment:
             raise ContractError("partition over an empty node set")
         communities = set(self.assignment.values())
@@ -95,14 +93,12 @@ def chinese_whispers(
         nbrs[i].append((j, sim))
         nbrs[j].append((i, sim))
     labels = {v: v for v in graph.nodes}
-    nodes = np.array(graph.nodes)
     converged = False
     rounds_used = 0
     for _ in range(max_rounds):
         rounds_used += 1
         changed = False
-        for v in nodes[rng.permutation(len(nodes))]:
-            v = int(v)
+        for v in [graph.nodes[p] for p in rng.permutation(graph.n).tolist()]:
             if not nbrs[v]:
                 continue
             scores: dict = {}

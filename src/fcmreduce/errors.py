@@ -50,10 +50,11 @@ def plain(value):
     return int(value) if is_integer(value) else float(value)
 
 
-def check_integer(name: str, value, error: type[FcmReduceError], minimum: int) -> int:
-    """value as a plain int; `error` unless it is an integer >= minimum."""
-    if not is_integer(value) or value < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_integer(name: str, value, error: type[FcmReduceError], minimum: int | None) -> int:
+    """value as a plain int; `error` unless it is an integer >= minimum, if any."""
+    if not is_integer(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, check_integer
 from .fcm import SimulationSettings, settle, simulate
 from .files import read_csv, write_csv, write_json
-from .population import Agent, SocialGraph
+from .population import Agent, SocialGraph, agents_by_id
 from .seeding import seed_sequence
 
 
@@ -39,8 +39,8 @@ class RunSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("rounds", "repeats"):  # stored plain for the JSON sidecar
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, 1))
+        for name, low in (("rounds", 1), ("repeats", 1), ("master_seed", None)):  # plain for JSON
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, low))
 
 
 @dataclass
@@ -92,23 +92,18 @@ class _ModelArrays:
     run loop."""
 
     def __init__(self, agents: list[Agent], graph: SocialGraph, spec: RunSpec):
-        if graph.channels is None and graph.ties:
-            raise ConfigError("run needs a graph with assigned channels")
+        channels = graph.assigned_channels()
         if not graph.nodes:
             raise ConfigError("run needs at least one agent")
-        by_id = {a.id: a for a in agents}
-        missing = [v for v in graph.nodes if v not in by_id]
-        if missing:
-            raise ConfigError(f"no agent for graph nodes {missing[:5]}")
         # the model's population is the graph's node set
-        ids = sorted(graph.nodes)
-        pos = {v: p for p, v in enumerate(ids)}
-        fcms = [by_id[v].fcm for v in ids]
+        by_id = agents_by_id(agents, sorted(graph.nodes))
+        pos = {v: p for p, v in enumerate(by_id)}
+        fcms = [a.fcm for a in by_id.values()]
         self.weights = [fcm.weights for fcm in fcms]
         self.act0 = [fcm.activation for fcm in fcms]
         self.stab_idx = []
         self.out_idx = []
-        for v, fcm in zip(ids, fcms):
+        for v, fcm in zip(by_id, fcms):
             try:
                 self.stab_idx.append(fcm.index_of(spec.settings.stabilization_concept))
                 self.out_idx.append(fcm.index_of(spec.output_concept))
@@ -117,7 +112,7 @@ class _ModelArrays:
         # (i, j, channel index in i, channel index in j) per tie
         self.ties = []
         for i, j in graph.ties:
-            label = graph.channels[(i, j)]
+            label = channels[(i, j)]
             try:
                 self.ties.append(
                     (pos[i], pos[j], by_id[i].fcm.index_of(label), by_id[j].fcm.index_of(label))
@@ -155,21 +150,16 @@ def run_once(agents: list[Agent], graph: SocialGraph, spec: RunSpec, run_seed) -
 def run_once_reference(agents: list[Agent], graph: SocialGraph, spec: RunSpec, run_seed) -> float:
     """Same semantics as run_once, composed from the public interact() and
     simulate() operations. Slow; used to cross-check the packed run loop."""
-    if graph.channels is None and graph.ties:
-        raise ConfigError("run needs a graph with assigned channels")
-    by_id = {a.id: a for a in agents}
-    current = {v: by_id[v] for v in graph.nodes}
+    channels = graph.assigned_channels()
+    current = agents_by_id(agents, graph.nodes)
     rng = np.random.default_rng(run_seed)
     ties = list(graph.ties)
     for _ in range(spec.rounds):
         for t in rng.permutation(len(ties)):
             i, j = ties[int(t)]
-            a, b = interact(current[i], current[j], graph.channels[(i, j)], spec.settings)
+            a, b = interact(current[i], current[j], channels[(i, j)], spec.settings)
             current[i], current[j] = a, b
-    values = [
-        agent.fcm.activation[agent.fcm.index_of(spec.output_concept)]
-        for agent in current.values()
-    ]
+    values = [a.fcm.activation[a.fcm.index_of(spec.output_concept)] for a in current.values()]
     return float(np.mean(values))
 
 

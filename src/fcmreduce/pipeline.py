@@ -450,8 +450,7 @@ def _load_model(out_dir, prefix: str = "", ids=None) -> tuple:
     if ids is not None and len(ids) != len(fcms):
         raise ConfigError("reduced population and provenance disagree on size")
     agents = make_agents(fcms) if ids is None else [Agent(i, f) for i, f in zip(ids, fcms)]
-    nodes = [a.id for a in agents]
-    return agents, import_topology(os.path.join(out_dir, f"{prefix}topology.csv"), nodes)
+    return agents, import_topology(os.path.join(out_dir, f"{prefix}topology.csv"), [a.id for a in agents])
 
 
 def stage_generate_files(cfg: PipelineConfig, out_dir) -> list:

@@ -33,15 +33,39 @@ class Agent:
     fcm: Fcm
 
 
+def agent_id(value, name: str = "agent id") -> int:
+    """value as a plain int id; ContractError unless it is an integer >= 0."""
+    fast = type(value) is int and value >= 0  # one call per node and tie end
+    return value if fast else check_integer(name, value, ContractError, 0)
+
+
+def agents_by_id(agents: list[Agent], ids) -> dict:
+    """{id: Agent} for each of ids, in their order; ContractError naming ids no agent has."""
+    by_id = {a.id: a for a in agents}
+    if missing := [v for v in ids if v not in by_id]:
+        raise ContractError(f"no agent for ids {missing[:5]}")
+    return {v: by_id[v] for v in ids}
+
+
+def draw_channel(a: Agent, b: Agent, rng, fault: str) -> str:
+    """A concept drawn uniformly from the sorted concepts both agents' maps
+    hold; ChannelError with fault.format(a.id, b.id) when they share none."""
+    shared = sorted(set(a.fcm.concepts) & set(b.fcm.concepts))
+    if not shared:
+        raise ChannelError(fault.format(a.id, b.id))
+    return shared[int(rng.integers(len(shared)))]
+
+
 @dataclass
 class SocialGraph:
     """Who interacts with whom, and over which shared concept.
 
-    nodes are agent ids (dense 0..n-1 for generated populations; reduced
-    models keep the surviving representatives' original ids). ties are
-    undirected (i, j) pairs with i < j. channels maps each tie to the one
-    concept both endpoint agents observe during an interaction; it is None
-    until assign_channels has run.
+    nodes are agent ids: plain non-negative ints, any other id a ContractError
+    (dense 0..n-1 for generated populations; reduced models keep the
+    surviving representatives' original ids). ties are undirected (i, j)
+    pairs with i < j. channels maps each tie to the one concept both
+    endpoint agents observe during an interaction; it is None until
+    assign_channels has run, and assigned_channels() guards every reader.
     """
 
     nodes: tuple[int, ...]
@@ -49,13 +73,13 @@ class SocialGraph:
     channels: dict | None = None
 
     def __post_init__(self):
-        self.nodes = tuple(int(v) for v in self.nodes)
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ContractError("duplicate node ids in social graph")
+        self.nodes = tuple(map(agent_id, self.nodes))
         node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            raise ContractError("duplicate node ids in social graph")
         ties = []
         for i, j in self.ties:
-            i, j = int(i), int(j)
+            i, j = agent_id(i), agent_id(j)
             if i == j:
                 raise ContractError(f"self-tie at node {i}")
             if i > j:
@@ -69,18 +93,21 @@ class SocialGraph:
         if self.channels is not None:
             chans = {}
             for key, label in self.channels.items():
-                i, j = int(key[0]), int(key[1])
-                if i > j:
-                    i, j = j, i
-                chans[(i, j)] = label
-            missing = set(self.ties) - set(chans)
-            if missing:
+                i, j = agent_id(key[0]), agent_id(key[1])
+                chans[(i, j) if i < j else (j, i)] = label
+            if missing := set(self.ties) - set(chans):
                 raise ContractError(f"channels missing for ties {sorted(missing)[:5]}")
             self.channels = chans
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    def assigned_channels(self) -> dict:
+        """The tie -> concept map; ContractError while ties have none."""
+        if self.channels is None and self.ties:
+            raise ContractError("a graph with ties needs assigned channels; call assign_channels")
+        return self.channels or {}
 
 
 @dataclass(frozen=True)
@@ -104,6 +131,10 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {self.kind!r}; valid: {TOPOLOGY_KINDS}")
+        for name in ("n", "k", "m", "seed"):  # stored plain for networkx and seeding
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, None))
+        if not (is_number(self.p) and is_number(self.beta)):
+            raise ConfigError(f"p and beta must be finite numbers, got {self.p!r} and {self.beta!r}")
         if self.n < 2:
             raise ConfigError("topology needs at least 2 nodes")
         if self.kind == "random" and not 0.0 <= self.p <= 1.0:
@@ -338,17 +369,10 @@ def assign_channels(graph: SocialGraph, agents: list[Agent], seed: int) -> Socia
     """Give every tie one concept drawn uniformly from the intersection of
     both endpoints' concept sets, so each agent has an equal chance to
     influence any shared concept of its peer."""
-    by_id = {a.id: a for a in agents}
-    missing = [v for v in graph.nodes if v not in by_id]
-    if missing:
-        raise ConfigError(f"no agent for graph nodes {missing[:5]}")
+    by_id = agents_by_id(agents, graph.nodes)
     rng = rng_for(seed, "channels")
-    channels = {}
-    for i, j in graph.ties:
-        shared = sorted(set(by_id[i].fcm.concepts) & set(by_id[j].fcm.concepts))
-        if not shared:
-            raise ChannelError(f"agents {i} and {j} share no concept to interact over")
-        channels[(i, j)] = shared[int(rng.integers(len(shared)))]
+    fault = "agents {} and {} share no concept to interact over"
+    channels = {(i, j): draw_channel(by_id[i], by_id[j], rng, fault) for i, j in graph.ties}
     return SocialGraph(graph.nodes, graph.ties, channels)
 
 
@@ -360,9 +384,8 @@ _TOPOLOGY_TYPES = (int, int, str)
 
 
 def export_topology(graph: SocialGraph, path) -> None:
-    if graph.channels is None:
-        raise ContractError("a topology file needs a graph with assigned channels")
-    write_csv(path, _TOPOLOGY_HEADER, ([*tie, graph.channels[tie]] for tie in graph.ties))
+    channels = graph.assigned_channels()
+    write_csv(path, _TOPOLOGY_HEADER, ([*tie, channels[tie]] for tie in graph.ties))
 
 
 def import_topology(path, nodes) -> SocialGraph:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .community import Partition
-from .errors import ChannelError, ConfigError, ContractError, is_integer
+from .errors import ConfigError, is_integer
 from .files import read_json, write_json
-from .population import Agent, SocialGraph
+from .population import Agent, SocialGraph, agents_by_id, draw_channel
 from .seeding import rng_for
 
 
@@ -31,10 +31,7 @@ def select_representatives(agents: list[Agent], partition: Partition) -> dict:
     """Per community, the member whose initial-activation sum is the median:
     members sorted by (score, id), element at index (size - 1) // 2. Returns
     community id -> agent id."""
-    by_id = {a.id: a for a in agents}
-    missing = [v for v in partition.assignment if v not in by_id]
-    if missing:
-        raise ContractError(f"partition references unknown agents {missing[:5]}")
+    by_id = agents_by_id(agents, partition.assignment)
     reps = {}
     for comm, members in partition.members().items():
         scored = sorted((float(by_id[v].fcm.activation.sum()), v) for v in members)
@@ -58,9 +55,9 @@ def contract(
     qualifies, a channel is re-drawn uniformly from the representatives'
     label intersection and the redraw is recorded in the provenance.
     """
-    if graph.channels is None:
-        raise ContractError("contract needs a graph with assigned channels")
-    by_id = {a.id: a for a in agents}
+    graph_channels = graph.assigned_channels()
+    rep_ids = sorted(reps.values())
+    by_id = agents_by_id(agents, rep_ids)
     comm_of = partition.assignment
     crossing: dict = {}
     for i, j in graph.ties:
@@ -80,21 +77,16 @@ def contract(
         concepts_b = set(by_id[rb].fcm.concepts)
         label = None
         for orig in sorted(originals):
-            cand = graph.channels[orig]
+            cand = graph_channels[orig]
             if cand in concepts_a and cand in concepts_b:
                 label = cand
                 break
         if label is None:
-            shared = sorted(concepts_a & concepts_b)
-            if not shared:
-                raise ChannelError(
-                    f"representatives {ra} and {rb} share no concept for the reduced tie"
-                )
-            label = shared[int(rng.integers(len(shared)))]
+            label = draw_channel(by_id[ra], by_id[rb], rng,
+                                 "representatives {} and {} share no concept for the reduced tie")
             redrawn[f"{tie[0]},{tie[1]}"] = label
         ties.append(tie)
         channels[tie] = label
-    rep_ids = sorted(reps.values())
     reduced_graph = SocialGraph(tuple(rep_ids), tuple(sorted(ties)), channels)
     provenance = {
         "communities": {
@@ -104,7 +96,7 @@ def contract(
         "redrawn_channels": redrawn,
     }
     return ReducedModel(
-        agents=[by_id[r] for r in rep_ids],
+        agents=list(by_id.values()),
         graph=reduced_graph,
         provenance=provenance,
         removed_count=len(agents) - len(reps),

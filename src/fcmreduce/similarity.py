@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, MetricError, check_integer, is_number
 from .fcm import Fcm
 from .files import read_csv, write_csv
-from .population import Agent, SocialGraph
+from .population import Agent, SocialGraph, agents_by_id
 from .seeding import int_seed
 from .triads import triad_significance_profile
 
@@ -415,9 +415,8 @@ def weigh_ties(
     over several topologies."""
     feature, compare = _measure(metric)
     cfg = config or MetricConfig()
-    by_id = {a.id: a for a in agents}
-    if features is None:
-        features = {}
+    by_id = agents_by_id(agents, graph.nodes)
+    features = {} if features is None else features
 
     def feature_of(agent_id):
         if agent_id not in features:

@@ -268,6 +268,18 @@ class TestSpecValidation:
         assert (meta["rounds"], meta["repeats"], meta["settings"]["max_iterations"]) == (3, 2, 7)
         assert meta["settings"]["stabilization_tolerance"] == float(np.float32(0.05))
 
+    def test_numpy_master_seed_exports_as_plain_int(self, tmp_path):
+        spec = RunSpec("A", SimulationSettings("A"), master_seed=np.int64(-3))
+        assert type(spec.master_seed) is int
+        sidecar = tmp_path / "runspec.json"
+        export_distribution(OutputDistribution([0.5]), spec, tmp_path / "d.csv", sidecar)
+        assert json.loads(sidecar.read_text())["master_seed"] == -3
+
+    @pytest.mark.parametrize("bad", [2.5, "x", True], ids=repr)
+    def test_non_integer_master_seed_rejected(self, bad):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            RunSpec("A", SimulationSettings("A"), master_seed=bad)
+
     def test_distribution_requires_unit_interval(self):
         with pytest.raises(ContractError):
             OutputDistribution(np.array([0.5, 1.2]))

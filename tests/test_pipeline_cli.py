@@ -693,6 +693,28 @@ class TestCliErrors:
             f"config error: tie ({i}, {j}): concept 'Obesity' not in FCM"
         )
 
+    def test_id_outside_the_id_rule_in_a_stage_file_exits_1(self, tmp_path, capsys):
+        # ids are non-negative integers; a reader turns the graph's or the
+        # partition's ContractError into a ConfigError naming its file
+        config_path = write_config(tmp_path)
+        out = tmp_path / "full"
+        assert main(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        topology = out / "topology.csv"
+        header, first, *rest = topology.read_text().splitlines(keepends=True)
+        _, j, label = first.split(",")
+        topology.write_text(header + f"-1,{j},{label}" + "".join(rest))
+        assert main(["weigh", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: topology file {topology}: agent id must be an integer >= 0, got -1"
+        )
+        partition = out / "partition.csv"
+        partition.write_text("agent_id,community_id\n0,0\n-1,0\n")
+        assert main(["compare", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: partition file {partition}: agent id must be an integer >= 0, got -1"
+        )
+
     def test_tie_similarity_not_of_its_dissimilarity_exits_1(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         staged = tmp_path / "staged"

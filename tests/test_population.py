@@ -328,6 +328,27 @@ class TestTopologies:
         with pytest.raises(ConfigError):
             TopologySpec("small_world", n=10, k=3)
 
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("small_world", {"n": 10.5}, "n must be an integer"),
+        ("small_world", {"n": "10"}, "n must be an integer"),
+        ("small_world", {"k": 4.0}, "k must be an integer"),
+        ("scale_free", {"m": 2.0}, "m must be an integer"),
+        ("scale_free", {"m": True}, "m must be an integer"),
+        ("random", {"seed": 1.5}, "seed must be an integer"),
+        ("random", {"p": "0.1"}, "p and beta must be finite numbers"),
+        ("random", {"p": float("nan")}, "p and beta must be finite numbers"),
+        ("small_world", {"beta": "0.1"}, "p and beta must be finite numbers"),
+        ("small_world", {"beta": True}, "p and beta must be finite numbers"),
+    ], ids=repr)
+    def test_knob_of_the_wrong_type_rejected(self, kind, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            TopologySpec(kind, **{"n": 10, **bad})
+
+    def test_numpy_knobs_stored_plain(self):
+        spec = TopologySpec("small_world", n=np.int64(10), k=np.int32(4), seed=np.int64(-2))
+        assert [type(v) for v in (spec.n, spec.k, spec.m, spec.seed)] == [int] * 4
+        assert build_topology(spec) == build_topology(TopologySpec("small_world", n=10, k=4, seed=-2))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             TopologySpec("lattice", n=10)
