@@ -16,9 +16,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, as_config_error, check_integer
 from .files import read_csv, write_csv
-from .population import SocialGraph, agent_id
+from .population import SocialGraph, agent_id, check_keys
 from .seeding import rng_for
 
 
@@ -72,10 +72,14 @@ def _densify(labels: dict) -> dict:
     return mapping
 
 
-def _check_coverage(graph: SocialGraph, weights: dict) -> None:
-    missing = [t for t in graph.ties if t not in weights]
-    if missing:
-        raise ContractError(f"tie weights missing for {missing[:5]}")
+def check_tie_weights(graph: SocialGraph, weights: dict) -> None:
+    """The rule that weights has exactly graph's ties as keys."""
+    check_keys(weights, graph.ties, "tie weights", "ties")
+
+
+def check_assignment(graph: SocialGraph, assignment: dict) -> None:
+    """The rule that a partition's assignment has exactly graph's nodes as keys."""
+    check_keys(assignment, graph.nodes, "communities", "nodes")
 
 
 def chinese_whispers(
@@ -85,7 +89,8 @@ def chinese_whispers(
     seeded random order each round, adopt the class with the largest summed
     similarity among their neighbors (ties broken by a seeded uniform pick).
     Stops after a round with no change, or after max_rounds."""
-    _check_coverage(graph, weights)
+    check_tie_weights(graph, weights)
+    max_rounds = check_integer("max_rounds", max_rounds, ConfigError, 1)
     rng = rng_for(seed, "chinese-whispers")
     nbrs: dict = {v: [] for v in graph.nodes}
     for i, j in graph.ties:
@@ -120,6 +125,8 @@ def weighted_modularity(graph: SocialGraph, weights: dict, assignment: dict) -> 
     """Newman modularity with similarity weights as edge strengths:
     Q = sum_c [W_in(c)/m - (K_c / 2m)^2] with m the total tie weight, W_in
     the intra-community weight, and K_c the summed weighted degree."""
+    check_tie_weights(graph, weights)
+    check_assignment(graph, assignment)
     m = sum(weights[t].similarity for t in graph.ties)
     if m == 0.0:
         return 0.0
@@ -154,7 +161,7 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     tie count it is rebuilt from its distinct current entries; live pairs
     never outnumber the ties, which bounds memory.
     """
-    _check_coverage(graph, weights)
+    check_tie_weights(graph, weights)
     m = sum(weights[t].similarity for t in graph.ties)
     labels = {v: v for v in graph.nodes}
     if m == 0.0:
@@ -249,7 +256,5 @@ def import_partition(path) -> Partition:
         if agent in assignment:
             raise ConfigError(f"agent {agent} listed twice in {path}")
         assignment[agent] = community
-    try:
+    with as_config_error(f"partition file {path}: "):
         return Partition(assignment)
-    except ContractError as exc:
-        raise ConfigError(f"partition file {path}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the one rule for the
 integers and numbers taken in: as values, bool excluded; as text, plain ASCII."""
 
+import contextlib
 import math
 import numbers
 from sys import float_info
@@ -32,6 +33,16 @@ class MetricError(FcmReduceError):
 
 class ReportError(FcmReduceError):
     """Fidelity reporting was asked to summarize unusable data."""
+
+
+@contextlib.contextmanager
+def as_config_error(prefix: str = "", caught: type[Exception] = ContractError):
+    """Re-raise a caught error from the block as a ConfigError led by prefix:
+    input from a file or a config that breaks a rule is bad configuration."""
+    try:
+        yield
+    except caught as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def is_integer(value) -> bool:

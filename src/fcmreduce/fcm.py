@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_integer, is_number, plain
+from .errors import ConfigError, ContractError, as_config_error, check_integer, is_number, plain
 
 TRANSFER_FUNCTIONS = ("tanh", "sigmoid")
 
@@ -239,7 +239,5 @@ def fcm_from_dict(data: dict) -> Fcm:
         if not is_number(value):
             raise ConfigError(f"activation of {label!r} is not a number: {value!r}")
         activation[index[label]] = value
-    try:
+    with as_config_error():
         return Fcm(tuple(concepts), weights, activation)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_integer
+from .errors import ConfigError, ContractError, as_config_error, check_integer
 from .fcm import SimulationSettings, settle, simulate
 from .files import read_csv, write_csv, write_json
-from .population import Agent, SocialGraph, agents_by_id
+from .population import Agent, SocialGraph, agents_by_id, channel_index
 from .seeding import seed_sequence
 
 
@@ -67,11 +67,7 @@ def interact(a: Agent, b: Agent, channel: str, settings: SimulationSettings):
     agent is unchanged. Equal values are a no-op. Returns the (possibly
     updated) pair (a, b).
     """
-    try:
-        ia = a.fcm.index_of(channel)
-        ib = b.fcm.index_of(channel)
-    except ConfigError as exc:
-        raise ContractError(f"interaction channel {channel!r}: {exc}") from exc
+    ia, ib = channel_index(a, b, channel)
     va = a.fcm.activation[ia]
     vb = b.fcm.activation[ib]
     if va == vb:
@@ -104,21 +100,12 @@ class _ModelArrays:
         self.stab_idx = []
         self.out_idx = []
         for v, fcm in zip(by_id, fcms):
-            try:
+            with as_config_error(f"agent {v}: ", ConfigError):
                 self.stab_idx.append(fcm.index_of(spec.settings.stabilization_concept))
                 self.out_idx.append(fcm.index_of(spec.output_concept))
-            except ConfigError as exc:
-                raise ConfigError(f"agent {v}: {exc}") from exc
         # (i, j, channel index in i, channel index in j) per tie
-        self.ties = []
-        for i, j in graph.ties:
-            label = channels[(i, j)]
-            try:
-                self.ties.append(
-                    (pos[i], pos[j], by_id[i].fcm.index_of(label), by_id[j].fcm.index_of(label))
-                )
-            except ConfigError as exc:
-                raise ConfigError(f"tie ({i}, {j}): {exc}") from exc
+        self.ties = [(pos[i], pos[j], *channel_index(by_id[i], by_id[j], channels[(i, j)]))
+                     for i, j in graph.ties]
         self.spec = spec
 
     def run(self, run_seed) -> float:
@@ -199,7 +186,5 @@ def import_distribution(path) -> OutputDistribution:
                 f"distribution row {index},{value!r} in {path} should have run_index {len(samples)}"
             )
         samples.append(value)
-    try:
+    with as_config_error(f"distribution file {path}: "):
         return OutputDistribution(np.array(samples))
-    except ContractError as exc:
-        raise ConfigError(f"distribution file {path}: {exc}") from exc

@@ -25,12 +25,14 @@ from .analysis import (
 from .community import (
     Partition,
     agglomerative_modularity,
+    check_assignment,
+    check_tie_weights,
     chinese_whispers,
     export_partition,
     import_partition,
     partition_stats,
 )
-from .errors import ConfigError, MetricError, check_integer, is_integer, is_number, plain
+from .errors import ConfigError, MetricError, as_config_error, check_integer, is_integer, is_number, plain
 from .fcm import SimulationSettings
 from .files import read_json, write_csv, write_json, writing
 from .harness import (
@@ -45,9 +47,11 @@ from .population import (
     Agent,
     SocialGraph,
     TopologySpec,
+    agents_by_id,
     assign_channels,
     build_obesity_fcm,
     build_topology,
+    channel_index,
     export_population,
     export_topology,
     generate_cmaes_style,
@@ -166,10 +170,8 @@ class PipelineConfig:
         if not self.kl_alpha > 0:
             raise ConfigError("kl_alpha must be > 0")
         self.run_spec()
-        try:
+        with as_config_error("", MetricError):
             self.metric_config()
-        except MetricError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.source != "import":
             self.topology_spec(self.count)
 
@@ -450,7 +452,12 @@ def _load_model(out_dir, prefix: str = "", ids=None) -> tuple:
     if ids is not None and len(ids) != len(fcms):
         raise ConfigError("reduced population and provenance disagree on size")
     agents = make_agents(fcms) if ids is None else [Agent(i, f) for i, f in zip(ids, fcms)]
-    return agents, import_topology(os.path.join(out_dir, f"{prefix}topology.csv"), [a.id for a in agents])
+    graph = import_topology(os.path.join(out_dir, f"{prefix}topology.csv"), [a.id for a in agents])
+    by_id, channels = agents_by_id(agents, graph.nodes), graph.assigned_channels()
+    with as_config_error():
+        for i, j in graph.ties:
+            channel_index(by_id[i], by_id[j], channels[(i, j)])
+    return agents, graph
 
 
 def stage_generate_files(cfg: PipelineConfig, out_dir) -> list:
@@ -474,8 +481,8 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> list:
         raise ConfigError(
             f"ties.csv was weighed with metric {metric!r} but the config asks for {cfg.metric!r}"
         )
-    if set(weights) != set(graph.ties):
-        raise ConfigError("ties.csv does not weigh exactly the ties of topology.csv")
+    with as_config_error("ties.csv does not weigh exactly the ties of topology.csv: "):
+        check_tie_weights(graph, weights)
     partition = stage_cluster(cfg, graph, weights)
     return _write(out_dir, "partition.csv", export_partition, partition)
 
@@ -483,8 +490,8 @@ def stage_cluster_files(cfg: PipelineConfig, out_dir) -> list:
 def stage_reduce_files(cfg: PipelineConfig, out_dir) -> list:
     agents, graph = _load_model(out_dir)
     partition = import_partition(os.path.join(out_dir, "partition.csv"))
-    if set(partition.assignment) != set(graph.nodes):
-        raise ConfigError("partition.csv does not assign exactly the agents of topology.csv")
+    with as_config_error("partition.csv does not assign exactly the agents of topology.csv: "):
+        check_assignment(graph, partition.assignment)
     return _write_reduced(out_dir, stage_reduce(cfg, agents, graph, partition))
 
 

@@ -16,6 +16,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import ChannelError, ConfigError, ContractError, GenerationError, check_integer, is_number
+from .errors import as_config_error
 # fcm_to_dict defines the record export_population writes; perfbench/layers.py
 # wraps it under this module's name
 from .fcm import Fcm, fcm_from_dict, fcm_to_dict  # noqa: F401
@@ -54,6 +55,26 @@ def draw_channel(a: Agent, b: Agent, rng, fault: str) -> str:
     if not shared:
         raise ChannelError(fault.format(a.id, b.id))
     return shared[int(rng.integers(len(shared)))]
+
+
+def channel_index(a: Agent, b: Agent, channel: str) -> tuple[int, int]:
+    """The channel's index in a's map and in b's: the rule that a tie's
+    channel is a concept both its agents hold; ContractError otherwise."""
+    try:
+        return a.fcm.index_of(channel), b.fcm.index_of(channel)
+    except ConfigError as exc:
+        raise ContractError(f"tie ({a.id}, {b.id}): {exc}") from exc
+
+
+def check_keys(given: dict, expected: tuple, what: str, of: str) -> None:
+    """ContractError unless given's keys are exactly the distinct expected
+    ones, naming the first that are missing or not expected."""
+    if missing := [k for k in expected if k not in given]:
+        raise ContractError(f"{what} missing for {of} {missing[:5]}")
+    if len(given) > len(expected):
+        wanted = set(expected)
+        extra = [k for k in given if k not in wanted]
+        raise ContractError(f"{what} given for {of} not in the graph {extra[:5]}")
 
 
 @dataclass
@@ -95,8 +116,7 @@ class SocialGraph:
             for key, label in self.channels.items():
                 i, j = agent_id(key[0]), agent_id(key[1])
                 chans[(i, j) if i < j else (j, i)] = label
-            if missing := set(self.ties) - set(chans):
-                raise ContractError(f"channels missing for ties {sorted(missing)[:5]}")
+            check_keys(chans, self.ties, "channels", "ties")
             self.channels = chans
 
     @property
@@ -328,10 +348,8 @@ def population_size(path) -> int:
 def import_population(path) -> list[Fcm]:
     fcms = []
     for idx, record in enumerate(_population_records(path)):
-        try:
+        with as_config_error(f"population record {idx}: ", ConfigError):
             fcms.append(fcm_from_dict(record))
-        except ConfigError as exc:
-            raise ConfigError(f"population record {idx}: {exc}") from exc
     return fcms
 
 
@@ -396,7 +414,5 @@ def import_topology(path, nodes) -> SocialGraph:
         ties.append((i, j))
         if label:
             channels[(i, j)] = label
-    try:
+    with as_config_error(f"topology file {path}: "):
         return SocialGraph(tuple(nodes), tuple(ties), channels)
-    except ContractError as exc:
-        raise ConfigError(f"topology file {path}: {exc}") from exc

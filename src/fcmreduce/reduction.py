@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .community import Partition
-from .errors import ConfigError, is_integer
+from .community import Partition, check_assignment
+from .errors import ConfigError, ContractError, is_integer
 from .files import read_json, write_json
 from .population import Agent, SocialGraph, agents_by_id, draw_channel
 from .seeding import rng_for
@@ -56,9 +56,12 @@ def contract(
     label intersection and the redraw is recorded in the provenance.
     """
     graph_channels = graph.assigned_channels()
+    check_assignment(graph, partition.assignment)
+    comm_of = partition.assignment
+    if len(reps) != partition.count or any(comm_of.get(r) != c for c, r in reps.items()):
+        raise ContractError(f"reps must map each of the {partition.count} communities to one of its members")
     rep_ids = sorted(reps.values())
     by_id = agents_by_id(agents, rep_ids)
-    comm_of = partition.assignment
     crossing: dict = {}
     for i, j in graph.ties:
         ca, cb = comm_of[i], comm_of[j]
@@ -99,7 +102,7 @@ def contract(
         agents=list(by_id.values()),
         graph=reduced_graph,
         provenance=provenance,
-        removed_count=len(agents) - len(reps),
+        removed_count=graph.n - len(reps),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .errors import ConfigError, MetricError, check_integer, is_number
+from .errors import ConfigError, MetricError, as_config_error, check_integer, is_number
 from .fcm import Fcm
 from .files import read_csv, write_csv
 from .population import Agent, SocialGraph, agents_by_id
@@ -455,10 +455,8 @@ def import_tie_weights(path) -> tuple[dict, str]:
     weights = {}
     metrics = set()
     for i, j, metric, dissimilarity, similarity in read_csv(path, _TIE_HEADER, "tie-weight", _TIE_TYPES):
-        try:
+        with as_config_error(f"malformed tie-weight row ({i}, {j}) in {path}: ", MetricError):
             weight = TieWeight(dissimilarity)
-        except MetricError as exc:
-            raise ConfigError(f"malformed tie-weight row ({i}, {j}) in {path}: {exc}") from exc
         if similarity != weight.similarity:
             raise ConfigError(f"tie ({i}, {j}) in {path}: similarity is not exp(-dissimilarity)")
         tie = (i, j) if i < j else (j, i)

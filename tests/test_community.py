@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import networkx as nx
 import numpy as np
@@ -203,6 +204,13 @@ class TestChineseWhispers:
         graph = SocialGraph((0, 1), ((0, 1),))
         with pytest.raises(ContractError):
             chinese_whispers(graph, {}, seed=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 0, -1, True, "3"], ids=repr)
+    def test_max_rounds_is_an_integer_of_at_least_one(self, bad):
+        # the rule and message PipelineConfig applies to its max_rounds key
+        graph, weights = two_cliques(3)
+        with pytest.raises(ConfigError, match=rf"^max_rounds must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            chinese_whispers(graph, weights, max_rounds=bad)
 
     def test_partition_invariants_on_random_graphs(self, rng):
         for trial in range(10):

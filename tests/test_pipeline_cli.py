@@ -693,6 +693,27 @@ class TestCliErrors:
             f"config error: tie ({i}, {j}): concept 'Obesity' not in FCM"
         )
 
+    @pytest.mark.parametrize("stage", [
+        ["weigh"], ["reduce"], ["simulate"], ["simulate", "--model", "reduced"],
+    ], ids=" ".join)
+    def test_every_stage_loading_a_model_rejects_a_channel_a_map_lacks(self, tmp_path, capsys, stage):
+        config_path = write_config(tmp_path)
+        staged = tmp_path / "staged"
+        for step in ("generate", "weigh", "cluster", "reduce"):
+            assert main([step, "--config", config_path, "--out", str(staged)]) == 0
+        capsys.readouterr()
+        prefix = "reduced_" if "reduced" in stage else ""
+        topology = staged / f"{prefix}topology.csv"
+        header, first, *rest = topology.read_text().splitlines(keepends=True)
+        i, j, _ = first.split(",")
+        topology.write_text(header + f"{i},{j},Obesity\r\n" + "".join(rest))
+        written = {p.name: p.read_bytes() for p in staged.iterdir()}
+        assert main([*stage, "--config", config_path, "--out", str(staged)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: tie ({i}, {j}): concept 'Obesity' not in FCM"
+        )
+        assert {p.name: p.read_bytes() for p in staged.iterdir()} == written
+
     def test_id_outside_the_id_rule_in_a_stage_file_exits_1(self, tmp_path, capsys):
         # ids are non-negative integers; a reader turns the graph's or the
         # partition's ContractError into a ConfigError naming its file

@@ -1,16 +1,27 @@
 """How agents and a social graph fit together, as every stage sees it: ids
 are non-negative integers, every graph node has an agent, and a graph with
-ties is run, contracted or written only once its channels are assigned. Each
-fault raises the same ContractError from every entry point."""
+ties is run, contracted or written only once its channels are assigned. A
+reduction rests on four more rules: a tie's channel is a concept both its
+agents hold, tie weights cover exactly the graph's ties, a partition assigns
+exactly its nodes, and each representative is a member of its community.
+Each fault raises the same ContractError from every entry point."""
+
+import re
 
 import numpy as np
 import pytest
 
-from fcmreduce.community import Partition
+from fcmreduce.community import (
+    Partition,
+    agglomerative_modularity,
+    chinese_whispers,
+    weighted_modularity,
+)
 from fcmreduce.errors import ContractError
 from fcmreduce.fcm import SimulationSettings
-from fcmreduce.harness import RunSpec, run_once, run_once_reference
+from fcmreduce.harness import RunSpec, interact, run_distribution, run_once, run_once_reference
 from fcmreduce.population import (
+    CMAES_CONCEPTS,
     SocialGraph,
     agent_id,
     assign_channels,
@@ -19,7 +30,7 @@ from fcmreduce.population import (
     make_agents,
 )
 from fcmreduce.reduction import contract, select_representatives
-from fcmreduce.similarity import weigh_ties
+from fcmreduce.similarity import TieWeight, weigh_ties
 
 SPEC = RunSpec("Awareness", SimulationSettings("Awareness"), rounds=2, repeats=1)
 SINGLETONS = Partition({v: v for v in range(4)})
@@ -112,3 +123,96 @@ def test_numpy_integer_ids_are_stored_as_plain_ints():
     assert partition.assignment == {0: 0, 1: 1}
     assert {type(v) for v in (*partition.assignment, *partition.assignment.values())} == {int}
     assert type(agent_id(np.uint8(7))) is int
+
+
+def wired_path_model():
+    agents, bare = path_model()
+    return agents, assign_channels(bare, agents, seed=0)
+
+
+PATH_WEIGHTS = {(0, 1): TieWeight(0.5), (1, 2): TieWeight(2.0), (2, 3): TieWeight(0.5)}
+
+CHANNEL_CALLS = {
+    "run_once": lambda agents, graph: run_once(agents, graph, SPEC, 0),
+    "run_once_reference": lambda agents, graph: run_once_reference(agents, graph, SPEC, 0),
+    "run_distribution": lambda agents, graph: run_distribution(agents, graph, SPEC),
+    "interact": lambda agents, graph: interact(agents[1], agents[2], graph.channels[(1, 2)], SPEC.settings),
+}
+
+
+@pytest.mark.parametrize("call", CHANNEL_CALLS.values(), ids=CHANNEL_CALLS)
+def test_channel_a_map_lacks_is_contract_error_everywhere(call):
+    agents, wired = wired_path_model()
+    graph = SocialGraph(wired.nodes, wired.ties, {**wired.channels, (1, 2): "Obesity"})
+    message = f"tie (1, 2): concept 'Obesity' not in FCM ({', '.join(CMAES_CONCEPTS)})"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call(agents, graph)
+
+
+WEIGHT_CALLS = {
+    "chinese_whispers": lambda graph, weights: chinese_whispers(graph, weights),
+    "agglomerative_modularity": lambda graph, weights: agglomerative_modularity(graph, weights),
+    "weighted_modularity": lambda graph, weights: weighted_modularity(graph, weights, SINGLETONS.assignment),
+}
+WEIGHT_FAULTS = {
+    "missing tie": ({t: w for t, w in PATH_WEIGHTS.items() if t != (2, 3)},
+                    r"^tie weights missing for ties \[\(2, 3\)\]$"),
+    "extra tie": ({**PATH_WEIGHTS, (0, 3): TieWeight(0.5)},
+                  r"^tie weights given for ties not in the graph \[\(0, 3\)\]$"),
+}
+
+
+@pytest.mark.parametrize("fault", WEIGHT_FAULTS.values(), ids=WEIGHT_FAULTS)
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS)
+def test_weights_not_of_the_graphs_ties_are_contract_error_everywhere(call, fault):
+    weights, message = fault
+    _, bare = path_model()
+    with pytest.raises(ContractError, match=message):
+        call(bare, weights)
+
+
+PARTITION_CALLS = {
+    "weighted_modularity": lambda agents, graph, partition: weighted_modularity(
+        graph, PATH_WEIGHTS, partition.assignment
+    ),
+    "contract": lambda agents, graph, partition: contract(
+        agents, graph, partition, {c: c for c in range(partition.count)}
+    ),
+}
+PARTITION_FAULTS = {
+    "missing node": (Partition({0: 0, 1: 1, 2: 2}), r"^communities missing for nodes \[3\]$"),
+    "extra node": (Partition({v: v for v in range(5)}),
+                   r"^communities given for nodes not in the graph \[4\]$"),
+}
+
+
+@pytest.mark.parametrize("fault", PARTITION_FAULTS.values(), ids=PARTITION_FAULTS)
+@pytest.mark.parametrize("call", PARTITION_CALLS.values(), ids=PARTITION_CALLS)
+def test_partition_not_of_the_graphs_nodes_is_contract_error_everywhere(call, fault):
+    partition, message = fault
+    agents, wired = wired_path_model()
+    with pytest.raises(ContractError, match=message):
+        call(agents, wired, partition)
+
+
+HALVES = Partition({0: 0, 1: 0, 2: 1, 3: 1})
+
+
+@pytest.mark.parametrize("reps", [{0: 0, 1: 1}, {0: 2, 1: 3}, {0: 0}, {0: 0, 1: 2, 2: 3}], ids=repr)
+def test_representative_outside_its_community_is_contract_error(reps):
+    agents, wired = wired_path_model()
+    with pytest.raises(ContractError, match="^reps must map each of the 2 communities to one of its members$"):
+        contract(agents, wired, HALVES, reps)
+
+
+def test_removed_count_counts_the_graphs_nodes_not_the_agents():
+    agents = make_agents(generate_cmaes_style(5, seed=1))  # agent 4 is on no node
+    _, bare = path_model()
+    model = contract(agents, assign_channels(bare, agents, seed=0), HALVES, {0: 1, 1: 2})
+    assert model.removed_count == 2
+    assert model.graph.nodes == (1, 2)
+
+
+def test_channel_for_a_pair_that_is_no_tie_is_contract_error():
+    with pytest.raises(ContractError, match=r"^channels given for ties not in the graph \[\(1, 2\), \(5, 5\)\]$"):
+        SocialGraph((0, 1, 2), ((0, 1),), {(0, 1): "a", (1, 2): "b", (5, 5): "c"})
