@@ -83,6 +83,18 @@ def interact(a: Agent, b: Agent, channel: str, settings: SimulationSettings):
     return (updated, b) if va < vb else (a, updated)
 
 
+def check_watched(agents, spec: RunSpec) -> None:
+    """The rule that every agent's map holds the run's output and
+    stabilization concepts: ConfigError naming the first concept, in that
+    order, that a map lacks and the first agent, by id, whose map lacks it."""
+    ordered = sorted(agents, key=lambda a: a.id)
+    for which, label in (("output", spec.output_concept),
+                         ("stabilization", spec.settings.stabilization_concept)):
+        for agent in ordered:
+            if label not in agent.fcm.concepts:
+                raise ConfigError(f"{which} concept {label!r} missing from agent {agent.id}'s FCM")
+
+
 class _ModelArrays:
     """Population packed into per-agent arrays and tie index tuples for the
     run loop."""
@@ -94,15 +106,12 @@ class _ModelArrays:
         # the model's population is the graph's node set
         by_id = agents_by_id(agents, sorted(graph.nodes))
         pos = {v: p for p, v in enumerate(by_id)}
+        check_watched(by_id.values(), spec)
         fcms = [a.fcm for a in by_id.values()]
         self.weights = [fcm.weights for fcm in fcms]
         self.act0 = [fcm.activation for fcm in fcms]
-        self.stab_idx = []
-        self.out_idx = []
-        for v, fcm in zip(by_id, fcms):
-            with as_config_error(f"agent {v}: ", ConfigError):
-                self.stab_idx.append(fcm.index_of(spec.settings.stabilization_concept))
-                self.out_idx.append(fcm.index_of(spec.output_concept))
+        self.stab_idx = [fcm.index_of(spec.settings.stabilization_concept) for fcm in fcms]
+        self.out_idx = [fcm.index_of(spec.output_concept) for fcm in fcms]
         # (i, j, channel index in i, channel index in j) per tie
         self.ties = [(pos[i], pos[j], *channel_index(by_id[i], by_id[j], channels[(i, j)]))
                      for i, j in graph.ties]
@@ -139,6 +148,7 @@ def run_once_reference(agents: list[Agent], graph: SocialGraph, spec: RunSpec, r
     simulate() operations. Slow; used to cross-check the packed run loop."""
     channels = graph.assigned_channels()
     current = agents_by_id(agents, graph.nodes)
+    check_watched(current.values(), spec)
     rng = np.random.default_rng(run_seed)
     ties = list(graph.ties)
     for _ in range(spec.rounds):

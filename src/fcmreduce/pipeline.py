@@ -38,6 +38,7 @@ from .files import read_json, write_csv, write_json, writing
 from .harness import (
     OutputDistribution,
     RunSpec,
+    check_watched,
     export_distribution,
     import_distribution,
     run_distribution,
@@ -257,14 +258,7 @@ def stage_population(cfg: PipelineConfig) -> list[Agent]:
     else:
         fcms = import_population(cfg.population_path)
     agents = make_agents(fcms)
-    # fail fast: the watched concepts must exist in every agent's FCM
-    for which in ("output", "stabilization"):
-        label = cfg.watched_concept(which)
-        for agent in agents:
-            if label not in agent.fcm.concepts:
-                raise ConfigError(
-                    f"{which} concept {label!r} missing from agent {agent.id}'s FCM"
-                )
+    check_watched(agents, cfg.run_spec())  # fail fast, before any stage runs
     return agents
 
 

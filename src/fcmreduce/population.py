@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 from dataclasses import dataclass
+from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
 from .errors import ChannelError, ConfigError, ContractError, GenerationError, check_integer, is_number
@@ -151,7 +152,7 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {self.kind!r}; valid: {TOPOLOGY_KINDS}")
-        for name in ("n", "k", "m", "seed"):  # stored plain for networkx and seeding
+        for name in ("n", "k", "m", "seed"):  # stored plain for range() and seeding
             object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, None))
         if not (is_number(self.p) and is_number(self.beta)):
             raise ConfigError(f"p and beta must be finite numbers, got {self.p!r} and {self.beta!r}")
@@ -166,8 +167,10 @@ class TopologySpec:
                 raise ConfigError("ring degree k must be smaller than n")
             if not 0.0 <= self.beta <= 1.0:
                 raise ConfigError("rewiring probability beta must lie in [0, 1]")
-        if self.kind == "scale_free" and not 1 <= self.m < self.n:
-            raise ConfigError("attachment count m must satisfy 1 <= m < n")
+        # a newcomer draws its targets from the tie ends so far, and a
+        # complete graph on one node has none
+        if self.kind == "scale_free" and not 2 <= self.m < self.n:
+            raise ConfigError("attachment count m must satisfy 2 <= m < n")
 
 
 # ---------------------------------------------------------------------------
@@ -359,24 +362,83 @@ def import_population(path) -> list[Fcm]:
 _MAX_TOPOLOGY_RETRIES = 20
 
 
+def _random_ties(spec: TopologySpec, rng: random.Random) -> list:
+    """Erdos-Renyi G(n, p): each pair, in lexicographic order, is a tie when
+    one rng.random() falls below p."""
+    draw, p = rng.random, spec.p
+    return [pair for pair in combinations(range(spec.n), 2) if draw() < p]
+
+
+def _small_world_ties(spec: TopologySpec, rng: random.Random) -> list:
+    """Watts-Strogatz: a ring where each node ties to its k/2 nearest
+    neighbours on each side, then, distance by distance and node by node,
+    the tie (u, u + j) is rewired with probability beta to a node drawn
+    uniformly among those u is not yet tied to. When u is already tied to
+    every other node, the rewiring is skipped after one more draw."""
+    n, nodes = spec.n, list(range(spec.n))
+    adj = [set() for _ in nodes]
+    for j in range(1, spec.k // 2 + 1):
+        for u in nodes:
+            v = (u + j) % n
+            adj[u].add(v)
+            adj[v].add(u)
+    for j in range(1, spec.k // 2 + 1):
+        for u in nodes:
+            if rng.random() < spec.beta:
+                w = rng.choice(nodes)
+                while w == u or w in adj[u]:
+                    w = rng.choice(nodes)
+                    if len(adj[u]) >= n - 1:
+                        break
+                else:
+                    v = (u + j) % n
+                    adj[u].remove(v)
+                    adj[v].remove(u)
+                    adj[u].add(w)
+                    adj[w].add(u)
+    return [(u, w) for u in nodes for w in adj[u] if u < w]
+
+
+def _scale_free_ties(spec: TopologySpec, rng: random.Random) -> list:
+    """Barabasi-Albert from a complete graph on m nodes: each newcomer draws
+    targets from the list holding every node once per tie end until it has
+    m distinct ones, ties to them, and the list grows by those targets, in
+    the drawn set's iteration order, then by the newcomer m times."""
+    m = spec.m
+    ties = list(combinations(range(m), 2))
+    repeated = [v for v in range(m) for _ in range(m - 1)]
+    for source in range(m, spec.n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        ties.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return ties
+
+
+_TIE_GENERATORS = {
+    "random": _random_ties,
+    "small_world": _small_world_ties,
+    "scale_free": _scale_free_ties,
+}
+
+
 def build_topology(spec: TopologySpec) -> SocialGraph:
     """Generate ties (channels unassigned) for the requested topology.
 
-    Retries with derived seeds when the draw leaves isolated nodes (possible
-    for the random kind); fails after a bounded number of attempts.
+    Attempt a draws from random.Random(int_seed(spec.seed, "topology",
+    spec.kind, a)), the Mersenne Twister stream networkx 3.6's generators
+    read for an int seed, and each generator makes the draws networkx's
+    makes, in the same order, so the tie set is the one networkx gives.
+    Retries with the next attempt when the draw leaves isolated nodes
+    (possible for the random kind); fails after a bounded number of attempts.
     """
+    generate = _TIE_GENERATORS[spec.kind]
     for attempt in range(_MAX_TOPOLOGY_RETRIES):
-        seed = int_seed(spec.seed, "topology", spec.kind, attempt)
-        if spec.kind == "random":
-            g = nx.gnp_random_graph(spec.n, spec.p, seed=seed)
-        elif spec.kind == "small_world":
-            g = nx.watts_strogatz_graph(spec.n, spec.k, spec.beta, seed=seed)
-        else:
-            g = nx.barabasi_albert_graph(
-                spec.n, spec.m, seed=seed, initial_graph=nx.complete_graph(spec.m)
-            )
-        if all(d > 0 for _, d in g.degree()):
-            return SocialGraph(tuple(range(spec.n)), tuple(g.edges()))
+        ties = generate(spec, random.Random(int_seed(spec.seed, "topology", spec.kind, attempt)))
+        if len({v for tie in ties for v in tie}) == spec.n:
+            return SocialGraph(tuple(range(spec.n)), tuple(ties))
     raise GenerationError(
         f"{spec.kind} topology left isolated nodes in {_MAX_TOPOLOGY_RETRIES} attempts "
         f"(n={spec.n}); increase connectivity parameters"

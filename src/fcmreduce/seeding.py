@@ -33,6 +33,6 @@ def rng_for(master_seed: int, *tags) -> np.random.Generator:
 
 
 def int_seed(master_seed: int, *tags) -> int:
-    """Collapse a derived stream to a single integer seed (for libraries
-    that only accept ints, e.g. networkx generators)."""
+    """Collapse a derived stream to a single integer seed (for generators
+    seeded by an int, e.g. the random.Random the topologies draw from)."""
     return int(seed_sequence(master_seed, *tags).generate_state(1, np.uint64)[0])

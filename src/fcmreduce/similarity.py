@@ -15,7 +15,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, MetricError, as_config_error, check_integer, is_number
@@ -162,6 +161,8 @@ def _centrality_map(f: Fcm, kind: str, view: StructuralView) -> dict:
     if kind == "degree":
         totals = adj.sum(axis=0) + adj.sum(axis=1)
         return {label: float(totals[i]) for i, label in enumerate(f.concepts)}
+    import networkx as nx  # only these two kinds need it; importing it costs start-up time
+
     g = nx.from_numpy_array(adj.astype(np.int8), create_using=nx.DiGraph)
     if kind == "betweenness":
         values = nx.betweenness_centrality(g)

@@ -177,6 +177,24 @@ class TestRunOnce:
         with pytest.raises(ConfigError, match="agent 1"):
             run_once(agents, graph, spec, 0)
 
+    @pytest.mark.parametrize("output, stabilization, message", [
+        ("A", "B", "stabilization concept 'B' missing from agent 1's FCM"),
+        ("B", "A", "output concept 'B' missing from agent 1's FCM"),
+    ])
+    def test_reference_checks_watched_concepts_as_kernel(self, output, stabilization, message):
+        # agent 1 lacks B and, holding the higher value of A, is never
+        # re-simulated, so only the watched-concept rule can catch it
+        agents = [
+            Agent(0, Fcm(("A", "B"), np.zeros((2, 2)), np.array([0.2, 0.5]))),
+            Agent(1, Fcm(("A", "C"), np.zeros((2, 2)), np.array([0.9, 0.5]))),
+        ]
+        graph = SocialGraph((0, 1), ((0, 1),), {(0, 1): "A"})
+        spec = RunSpec(output, SimulationSettings(stabilization), rounds=1, repeats=1)
+        for run in (run_once, run_once_reference):
+            with pytest.raises(ConfigError) as caught:
+                run(agents, graph, spec, 0)
+            assert str(caught.value) == message
+
 
 class TestRunDistribution:
     def make_model(self, n=12, seed=7):

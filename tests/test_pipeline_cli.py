@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -91,6 +93,7 @@ BAD_CONFIGS = [
     {"self_memory": "no"}, {"seed": "abc"},
     {"source": "obesity-variants", "jitter": -1},
     {"source": "import", "stabilization_concept": "Awareness"},  # no output_concept
+    {"topology": "scale_free", "m": 1},
 ]
 
 JSON_VALUES = st.recursive(
@@ -223,6 +226,52 @@ class TestStageComposition:
         (staged / "population.json").write_text("[]")
         assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
         assert "must hold a non-empty JSON array" in capsys.readouterr().err
+
+
+def run_fresh(script: str) -> str:
+    """stdout of script run in a new interpreter that imports this checkout's fcmreduce."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestStartUp:
+    """networkx costs about half of a process's start-up, so only the two
+    centralities that need it import it."""
+
+    def test_default_run_never_imports_networkx(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import fcmreduce\n"
+            "from fcmreduce.pipeline import config_from_dict, run_pipeline\n"
+            "loaded = ['networkx' in sys.modules]\n"
+            f"run_pipeline(config_from_dict({SMOKE!r}), out_dir={str(tmp_path)!r})\n"
+            "loaded.append('networkx' in sys.modules)\n"
+            f"run_pipeline(config_from_dict({dict(SMOKE, metric='centrality_cosine')!r}))\n"
+            "loaded.append('networkx' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        assert run_fresh(script).strip() == "[False, False, False]"
+
+    @pytest.mark.parametrize("centrality, digest", [
+        ("betweenness", "730478a75c94d57e9772d680b42d1d39a1b35f33fa8186854ae950857c03771d"),
+        ("closeness", "1539224e07b70cfac6198c5cba5e2001331c0ac09e434e60d91475a3fa758f44"),
+    ])
+    def test_networkx_centrality_loads_it_and_keeps_weights(self, centrality, digest):
+        # digests recorded when every module imported networkx at start-up
+        config = {"metric": "centrality_cosine", "centrality": centrality,
+                  "count": 20, "k": 4, "seed": 42}
+        script = (
+            "import hashlib, sys\n"
+            "from fcmreduce.pipeline import config_from_dict, stage_population, stage_topology, stage_weigh\n"
+            f"cfg = config_from_dict({config!r})\n"
+            "agents = stage_population(cfg)\n"
+            "w = stage_weigh(cfg, agents, stage_topology(cfg, agents))\n"
+            "text = repr([(tie, w[tie].dissimilarity) for tie in sorted(w)])\n"
+            "print('networkx' in sys.modules, hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        assert run_fresh(script).split() == ["True", digest]
 
 
 class TestCommandTable:

@@ -4,6 +4,7 @@ import os
 import tempfile
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from fcmreduce import population
 from fcmreduce.errors import ChannelError, ConfigError, ContractError, GenerationError
 from fcmreduce.fcm import Fcm, fcm_to_dict
-from fcmreduce.pipeline import config_from_dict, stage_population
+from fcmreduce.pipeline import config_from_dict, stage_population, stage_topology
 from fcmreduce.population import (
     CMAES_CONCEPTS,
+    TOPOLOGY_KINDS,
     Agent,
     SocialGraph,
     TopologySpec,
@@ -30,6 +32,7 @@ from fcmreduce.population import (
     make_agents,
     randomize_activations,
 )
+from fcmreduce.seeding import int_seed
 
 # Independently typed copy of the expert obesity edge table; the golden
 # test compares build_obesity_fcm() against this, not the other way around.
@@ -352,6 +355,99 @@ class TestTopologies:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             TopologySpec("lattice", n=10)
+
+    def test_scale_free_single_attachment_rejected(self):
+        # m = 1 would grow from a one-node complete graph, which has no tie
+        # end for the first newcomer to draw
+        with pytest.raises(ConfigError, match="2 <= m < n"):
+            TopologySpec("scale_free", n=10, m=1)
+
+    @pytest.mark.parametrize("config, digest", [
+        ({"topology": "random", "p": 0.05},
+         "ac2b19d2c0ebefdaacf44a2f1f53d6df002a2131ebc7a37a903d839f27ee901a"),
+        ({"topology": "small_world"},
+         "0a19a8bdfeb88b7b87a9299121b225ca2cc2cb8b515f4228403a5d216ead4cd8"),
+        ({"topology": "scale_free"},
+         "032fabcfc2a9e4627dec6d2ce7e6d6949909be3f36f89dd010a9078cb21be73f"),
+    ], ids=["random", "small_world", "scale_free"])
+    def test_golden_topology_digest(self, tmp_path, config, digest):
+        # recorded when networkx's generators drew the ties
+        cfg = config_from_dict(dict(config, source="cmaes-style", count=200, seed=42))
+        path = tmp_path / "topology.csv"
+        export_topology(stage_topology(cfg, stage_population(cfg)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def networkx_ties(spec):
+    """The tie set networkx 3.6 draws for spec under build_topology's seeds
+    and retry rule; None when every attempt leaves a node isolated."""
+    for attempt in range(population._MAX_TOPOLOGY_RETRIES):
+        seed = int_seed(spec.seed, "topology", spec.kind, attempt)
+        if spec.kind == "random":
+            g = nx.gnp_random_graph(spec.n, spec.p, seed=seed)
+        elif spec.kind == "small_world":
+            g = nx.watts_strogatz_graph(spec.n, spec.k, spec.beta, seed=seed)
+        else:
+            g = nx.barabasi_albert_graph(
+                spec.n, spec.m, seed=seed, initial_graph=nx.complete_graph(spec.m)
+            )
+        if all(d > 0 for _, d in g.degree()):
+            return {(min(e), max(e)) for e in g.edges()}
+    return None
+
+
+def built_ties(spec):
+    try:
+        return set(build_topology(spec).ties)
+    except GenerationError:
+        return None
+
+
+EDGE_PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def topology_specs(draw):
+    """Specs over the whole valid parameter space, with its edges (p and
+    beta of 0 or 1, the densest ring, m = n - 1) drawn often."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    n = draw(st.integers(3, 80))
+    seed = draw(st.integers(-(2**63), 2**64))
+    if kind == "random":
+        return TopologySpec(kind, n, p=draw(EDGE_PROBABILITY), seed=seed)
+    if kind == "small_world":
+        # (n - 1) // 2 * 2 is n - 2 for even n: one missing tie per node,
+        # so rewiring soon meets a node tied to all others
+        k = draw(st.sampled_from([2, (n - 1) // 2 * 2]) | st.integers(1, (n - 1) // 2).map(lambda h: 2 * h))
+        return TopologySpec(kind, n, k=k, beta=draw(EDGE_PROBABILITY), seed=seed)
+    m = draw(st.sampled_from([2, n - 1]) | st.integers(2, n - 1))
+    return TopologySpec(kind, n, m=m, seed=seed)
+
+
+class TestTopologyOracle:
+    """build_topology draws the tie set networkx 3.6 draws from the same
+    seed; networkx is only the test's oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=topology_specs())
+    def test_ties_equal_networkx(self, spec):
+        assert built_ties(spec) == networkx_ties(spec)
+
+    @pytest.mark.parametrize("spec", [
+        TopologySpec("random", n=30, p=0.0, seed=1),
+        TopologySpec("random", n=30, p=1.0, seed=1),
+        TopologySpec("random", n=200, p=0.03, seed=42),
+        TopologySpec("small_world", n=30, k=4, beta=0.0, seed=2),
+        TopologySpec("small_world", n=30, k=4, beta=1.0, seed=2),
+        TopologySpec("small_world", n=12, k=10, beta=0.5, seed=3),
+        TopologySpec("small_world", n=11, k=10, beta=0.5, seed=3),
+        TopologySpec("small_world", n=200, k=6, beta=0.1, seed=42),
+        TopologySpec("scale_free", n=3, m=2, seed=4),
+        TopologySpec("scale_free", n=30, m=29, seed=4),
+        TopologySpec("scale_free", n=1500, m=3, seed=42),
+    ], ids=repr)
+    def test_parameter_edges_equal_networkx(self, spec):
+        assert built_ties(spec) == networkx_ties(spec)
 
 
 class TestChannels:
