@@ -15,6 +15,7 @@ import sys
 from .analysis import report_to_json
 from .errors import ConfigError, FcmReduceError, number_text
 from .pipeline import (
+    MODELS,
     PipelineConfig,
     config_from_dict,
     load_config,
@@ -74,7 +75,7 @@ COMMANDS = {
         cfg, a.out, original_path=a.original, simplified_path=a.simplified,
     ))),
     "simulate": ("run the output distribution for a model", {"--model": {
-        "choices": ("original", "reduced"), "default": "original",
+        "choices": MODELS, "default": "original",
         "help": "which model to simulate",
     }}, lambda cfg, a: stage_simulate_files(cfg, a.out, model=a.model)),
 }

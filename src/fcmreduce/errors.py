@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one rule for the
-integers and numbers taken in: as values, bool excluded; as text, plain ASCII."""
+"""Exception hierarchy shared across the package, and the one rule each for a
+named choice and for the integers and numbers taken in."""
 
 import contextlib
 import math
@@ -67,6 +67,14 @@ def check_integer(name: str, value, error: type[FcmReduceError], minimum: int | 
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_choice(what: str, value, names: tuple, error: type[FcmReduceError]) -> str:
+    """value; `error` naming the valid names (a tuple) unless it is a string
+    among them, so a list, dict or other value raises `error`, never TypeError."""
+    if not (isinstance(value, str) and value in names):
+        raise error(f"unknown {what} {value!r}; valid: {names}")
+    return value
 
 
 def number_text(text: str) -> str:

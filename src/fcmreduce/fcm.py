@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, as_config_error, check_integer, is_number, plain
+from .errors import ConfigError, ContractError, as_config_error, check_choice, check_integer, is_number, plain
 
 TRANSFER_FUNCTIONS = ("tanh", "sigmoid")
 
@@ -104,10 +104,7 @@ class SimulationSettings:
         if not (is_number(tolerance) and tolerance > 0):
             raise ConfigError(f"stabilization_tolerance must be a number > 0, got {tolerance!r}")
         object.__setattr__(self, "stabilization_tolerance", plain(tolerance))
-        if self.transfer not in TRANSFER_FUNCTIONS:
-            raise ConfigError(
-                f"unknown transfer function {self.transfer!r}; valid: {TRANSFER_FUNCTIONS}"
-            )
+        check_choice("transfer function", self.transfer, TRANSFER_FUNCTIONS, ConfigError)
 
 
 def _update(w: np.ndarray, a: np.ndarray, transfer: str, self_memory: bool) -> np.ndarray:

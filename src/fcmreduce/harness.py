@@ -104,7 +104,7 @@ class _ModelArrays:
         if not graph.nodes:
             raise ConfigError("run needs at least one agent")
         # the model's population is the graph's node set
-        by_id = agents_by_id(agents, sorted(graph.nodes))
+        by_id = agents_by_id(agents, graph.nodes)
         pos = {v: p for p, v in enumerate(by_id)}
         check_watched(by_id.values(), spec)
         fcms = [a.fcm for a in by_id.values()]

@@ -32,7 +32,8 @@ from .community import (
     import_partition,
     partition_stats,
 )
-from .errors import ConfigError, MetricError, as_config_error, check_integer, is_integer, is_number, plain
+from .errors import ConfigError, MetricError, as_config_error, check_choice, check_integer, is_integer
+from .errors import is_number, plain
 from .fcm import SimulationSettings
 from .files import read_json, write_csv, write_json, writing
 from .harness import (
@@ -75,11 +76,35 @@ from .similarity import (
     weigh_ties,
 )
 
-POPULATION_SOURCES = ("obesity-variants", "cmaes-style", "import")
-COMMUNITY_ALGORITHMS = ("chinese_whispers", "agglomerative")
+# The named choices the stages dispatch on, one table each. An entry names
+# its functions in its body, so they are looked up in this module at call
+# time and a wrapper patched in here (as perfbench/layers.py does) sees it.
 
-# Default watched concept per built-in population source.
-_DEFAULT_CONCEPT = {"obesity-variants": "Obesity", "cmaes-style": "Awareness"}
+def _obesity_variants(cfg: PipelineConfig, seed: int) -> list:
+    fcms = generate_variants(build_obesity_fcm(), cfg.count, cfg.jitter, seed)
+    return randomize_activations(fcms, seed) if cfg.randomize_activations else fcms
+
+
+# population source -> (default watched concept, None where the config must
+# name it; the maps, from the config and the population seed)
+SOURCES = {
+    "obesity-variants": ("Obesity", _obesity_variants),
+    "cmaes-style": ("Awareness", lambda cfg, seed: generate_cmaes_style(cfg.count, seed)),
+    "import": (None, lambda cfg, seed: import_population(cfg.population_path)),
+}
+POPULATION_SOURCES = tuple(SOURCES)
+
+# community algorithm -> the partition, from the config, graph and tie weights
+DETECTORS = {
+    "chinese_whispers": lambda cfg, graph, weights: chinese_whispers(
+        graph, weights, max_rounds=cfg.max_rounds, seed=int_seed(cfg.seed, "community")
+    ),
+    "agglomerative": lambda cfg, graph, weights: agglomerative_modularity(graph, weights),
+}
+COMMUNITY_ALGORITHMS = tuple(DETECTORS)
+
+# the two models a run simulates, in the order their files are read
+MODELS = ("original", "reduced")
 
 # Per field annotation of PipelineConfig: what a value must be, and the test.
 FIELD_TYPES = {
@@ -145,10 +170,7 @@ class PipelineConfig:
                 raise ConfigError(f"config key {f.name!r} must be {wanted}, got {value!r:.60}")
             if f.type in ("int", "float"):  # report.json echoes the config
                 object.__setattr__(self, f.name, plain(value))
-        if self.source not in POPULATION_SOURCES:
-            raise ConfigError(
-                f"unknown population source {self.source!r}; valid: {POPULATION_SOURCES}"
-            )
+        check_choice("population source", self.source, POPULATION_SOURCES, ConfigError)
         if self.source == "import":
             if not self.population_path:
                 raise ConfigError("population source 'import' needs population_path")
@@ -156,14 +178,9 @@ class PipelineConfig:
                 raise ConfigError(f"population file not found: {self.population_path}")
         # TopologySpec checks the name too, but an imported population's
         # size, and so its topology_spec, is known only once the file is read
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ConfigError(f"unknown topology {self.topology!r}; valid: {TOPOLOGY_KINDS}")
-        if self.metric not in METRIC_KINDS:
-            raise ConfigError(f"unknown metric {self.metric!r}; valid: {METRIC_KINDS}")
-        if self.algorithm not in COMMUNITY_ALGORITHMS:
-            raise ConfigError(
-                f"unknown community algorithm {self.algorithm!r}; valid: {COMMUNITY_ALGORITHMS}"
-            )
+        check_choice("topology", self.topology, TOPOLOGY_KINDS, ConfigError)
+        check_choice("metric", self.metric, METRIC_KINDS, ConfigError)
+        check_choice("community algorithm", self.algorithm, COMMUNITY_ALGORITHMS, ConfigError)
         if self.jitter < 0:
             raise ConfigError("jitter must be >= 0")
         for name in ("workers", "max_rounds", "kl_bins"):
@@ -182,7 +199,7 @@ class PipelineConfig:
         explicit = self.output_concept if which == "output" else self.stabilization_concept
         if explicit:
             return explicit
-        default = _DEFAULT_CONCEPT.get(self.source)
+        default = SOURCES[self.source][0]
         if default is None:
             raise ConfigError(
                 f"{which}_concept must be set explicitly for imported populations"
@@ -248,15 +265,7 @@ def load_config(path, **overrides) -> PipelineConfig:
 # from (config.seed, stage tag).
 
 def stage_population(cfg: PipelineConfig) -> list[Agent]:
-    pop_seed = int_seed(cfg.seed, "population")
-    if cfg.source == "cmaes-style":
-        fcms = generate_cmaes_style(cfg.count, pop_seed)
-    elif cfg.source == "obesity-variants":
-        fcms = generate_variants(build_obesity_fcm(), cfg.count, cfg.jitter, pop_seed)
-        if cfg.randomize_activations:
-            fcms = randomize_activations(fcms, pop_seed)
-    else:
-        fcms = import_population(cfg.population_path)
+    fcms = SOURCES[cfg.source][1](cfg, int_seed(cfg.seed, "population"))
     agents = make_agents(fcms)
     check_watched(agents, cfg.run_spec())  # fail fast, before any stage runs
     return agents
@@ -274,11 +283,7 @@ def stage_weigh(
 
 
 def stage_cluster(cfg: PipelineConfig, graph: SocialGraph, weights: dict) -> Partition:
-    if cfg.algorithm == "chinese_whispers":
-        return chinese_whispers(
-            graph, weights, max_rounds=cfg.max_rounds, seed=int_seed(cfg.seed, "community")
-        )
-    return agglomerative_modularity(graph, weights)
+    return DETECTORS[cfg.algorithm](cfg, graph, weights)
 
 
 def stage_reduce(
@@ -295,20 +300,12 @@ def stage_simulate(
 
 
 def stage_compare(
-    cfg: PipelineConfig,
-    original: OutputDistribution,
-    simplified: OutputDistribution,
-    removed_count: int,
-    partition: Partition,
+    cfg: PipelineConfig, original: OutputDistribution, simplified: OutputDistribution, partition: Partition
 ) -> FidelityReport:
+    removed = len(partition.assignment) - partition.count  # members beyond one per community
     return build_report(
-        original,
-        simplified,
-        removed_count,
-        partition_stats(partition),
-        asdict(cfg),
-        bins=cfg.kl_bins,
-        alpha=cfg.kl_alpha,
+        original, simplified, removed, partition_stats(partition), asdict(cfg),
+        bins=cfg.kl_bins, alpha=cfg.kl_alpha,
     )
 
 
@@ -358,9 +355,7 @@ def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
                     simplified = stage_simulate(cell, reduced.agents, reduced.graph)
                     reductions[key] = reduced, simplified
                 reduced, simplified = reductions[key]
-                report = stage_compare(
-                    cell, original, simplified, reduced.removed_count, partition
-                )
+                report = stage_compare(cell, original, simplified, partition)
                 yield PipelineResult(
                     agents, graph, weights, partition, reduced, original, simplified, report
                 )
@@ -380,8 +375,8 @@ def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> Non
     _write(out_dir, "ties.csv", export_tie_weights, result.tie_weights, cfg.metric)
     _write(out_dir, "partition.csv", export_partition, result.partition)
     _write_reduced(out_dir, result.reduced)
-    _write_distribution(out_dir, cfg, result.original, "original")
-    _write_distribution(out_dir, cfg, result.simplified, "reduced")
+    for dist, model in zip((result.original, result.simplified), MODELS):
+        _write_distribution(out_dir, cfg, dist, model)
     _write_comparison(out_dir, result.original, result.simplified, result.report)
 
 
@@ -490,6 +485,7 @@ def stage_reduce_files(cfg: PipelineConfig, out_dir) -> list:
 
 
 def stage_simulate_files(cfg: PipelineConfig, out_dir, model: str = "original") -> list:
+    check_choice("model", model, MODELS, ConfigError)
     if model == "original":
         agents, graph = _load_model(out_dir)
     else:
@@ -504,7 +500,7 @@ def stage_compare_files(
 ) -> FidelityReport:
     original, simplified = (
         import_distribution(path or os.path.join(out_dir, f"distribution_{model}.csv"))
-        for path, model in ((original_path, "original"), (simplified_path, "reduced"))
+        for path, model in zip((original_path, simplified_path), MODELS)
     )
     if len(simplified.samples) != len(original.samples):
         # the two runs pair up by their shared per-run seeds
@@ -524,7 +520,6 @@ def stage_compare_files(
             f"{partition_path} groups the agents differently from the reduction in "
             f"{provenance_path}; run reduce and simulate again after cluster"
         )
-    removed = sum(len(g) for g in groups) - len(groups)
-    report = stage_compare(cfg, original, simplified, removed, partition)
+    report = stage_compare(cfg, original, simplified, partition)
     _write_comparison(out_dir, original, simplified, report)
     return report

@@ -17,14 +17,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ChannelError, ConfigError, ContractError, GenerationError, check_integer, is_number
-from .errors import as_config_error
+from .errors import as_config_error, check_choice
 # fcm_to_dict defines the record export_population writes; perfbench/layers.py
 # wraps it under this module's name
 from .fcm import Fcm, fcm_from_dict, fcm_to_dict  # noqa: F401
 from .files import read_csv, read_json, write_csv, writing
 from .seeding import int_seed, rng_for
-
-TOPOLOGY_KINDS = ("random", "small_world", "scale_free")
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,13 @@ def check_keys(given: dict, expected: tuple, what: str, of: str) -> None:
 class SocialGraph:
     """Who interacts with whom, and over which shared concept.
 
-    nodes are agent ids: plain non-negative ints, any other id a ContractError
-    (dense 0..n-1 for generated populations; reduced models keep the
-    surviving representatives' original ids). ties are undirected (i, j)
-    pairs with i < j. channels maps each tie to the one concept both
-    endpoint agents observe during an interaction; it is None until
-    assign_channels has run, and assigned_channels() guards every reader.
+    nodes are agent ids, stored in increasing order: plain non-negative ints,
+    any other id a ContractError (dense 0..n-1 for generated populations;
+    reduced models keep the surviving representatives' original ids). ties
+    are undirected (i, j) pairs with i < j, stored in increasing order.
+    channels maps each tie to the one concept both endpoint agents observe
+    during an interaction; it is None until assign_channels has run, and
+    assigned_channels() guards every reader.
     """
 
     nodes: tuple[int, ...]
@@ -95,7 +94,7 @@ class SocialGraph:
     channels: dict | None = None
 
     def __post_init__(self):
-        self.nodes = tuple(map(agent_id, self.nodes))
+        self.nodes = tuple(sorted(map(agent_id, self.nodes)))
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ContractError("duplicate node ids in social graph")
@@ -150,8 +149,7 @@ class TopologySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in TOPOLOGY_KINDS:
-            raise ConfigError(f"unknown topology kind {self.kind!r}; valid: {TOPOLOGY_KINDS}")
+        check_choice("topology kind", self.kind, TOPOLOGY_KINDS, ConfigError)
         for name in ("n", "k", "m", "seed"):  # stored plain for range() and seeding
             object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, None))
         if not (is_number(self.p) and is_number(self.beta)):
@@ -422,6 +420,8 @@ _TIE_GENERATORS = {
     "small_world": _small_world_ties,
     "scale_free": _scale_free_ties,
 }
+
+TOPOLOGY_KINDS = tuple(_TIE_GENERATORS)
 
 
 def build_topology(spec: TopologySpec) -> SocialGraph:

@@ -79,7 +79,7 @@ def contract(
         concepts_a = set(by_id[ra].fcm.concepts)
         concepts_b = set(by_id[rb].fcm.concepts)
         label = None
-        for orig in sorted(originals):
+        for orig in originals:  # graph.ties order: lowest (i, j) first
             cand = graph_channels[orig]
             if cand in concepts_a and cand in concepts_b:
                 label = cand
@@ -90,7 +90,7 @@ def contract(
             redrawn[f"{tie[0]},{tie[1]}"] = label
         ties.append(tie)
         channels[tie] = label
-    reduced_graph = SocialGraph(tuple(rep_ids), tuple(sorted(ties)), channels)
+    reduced_graph = SocialGraph(rep_ids, ties, channels)
     provenance = {
         "communities": {
             str(comm): {"representative": reps[comm], "members": members}

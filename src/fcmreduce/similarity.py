@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, as_config_error, check_integer, is_number
+from .errors import ConfigError, MetricError, as_config_error, check_choice, check_integer, is_number
 from .fcm import Fcm
 from .files import read_csv, write_csv
 from .population import Agent, SocialGraph, agents_by_id
@@ -94,10 +94,7 @@ class MetricConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.centrality not in CENTRALITY_KINDS:
-            raise MetricError(
-                f"unknown centrality kind {self.centrality!r}; valid: {CENTRALITY_KINDS}"
-            )
+        check_choice("centrality kind", self.centrality, CENTRALITY_KINDS, MetricError)
         check_integer("tsp_ensemble", self.tsp_ensemble, MetricError, 1)
         check_integer("tsp_swaps_per_edge", self.tsp_swaps_per_edge, MetricError, 0)
 
@@ -361,9 +358,7 @@ METRIC_KINDS = tuple(MEASURES)
 
 
 def _measure(metric: str):
-    if metric not in MEASURES:
-        raise MetricError(f"unknown metric kind {metric!r}; valid: {METRIC_KINDS}")
-    return MEASURES[metric]
+    return MEASURES[check_choice("metric kind", metric, METRIC_KINDS, MetricError)]
 
 
 def distance(

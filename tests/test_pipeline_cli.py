@@ -367,10 +367,10 @@ class TestSweep:
             seeds.append(args[4])  # int_seed(seed, "tsp", agent id)
             return triad_profile(*args, **kwargs)
 
-        def recording_compare(cell, original, simplified, removed_count, partition):
+        def recording_compare(cell, original, simplified, partition):
             key = (cell.topology, tuple(sorted(partition.assignment.items())))
             compared.append((key, simplified))
-            return stage_compare(cell, original, simplified, removed_count, partition)
+            return stage_compare(cell, original, simplified, partition)
 
         monkeypatch.setattr(pipeline, "run_distribution", counting_run)
         monkeypatch.setattr(similarity, "triad_profile", counting_profile)

@@ -23,8 +23,10 @@ from fcmreduce.harness import RunSpec, interact, run_distribution, run_once, run
 from fcmreduce.population import (
     CMAES_CONCEPTS,
     SocialGraph,
+    TopologySpec,
     agent_id,
     assign_channels,
+    build_topology,
     export_topology,
     generate_cmaes_style,
     make_agents,
@@ -216,3 +218,17 @@ def test_removed_count_counts_the_graphs_nodes_not_the_agents():
 def test_channel_for_a_pair_that_is_no_tie_is_contract_error():
     with pytest.raises(ContractError, match=r"^channels given for ties not in the graph \[\(1, 2\), \(5, 5\)\]$"):
         SocialGraph((0, 1, 2), ((0, 1),), {(0, 1): "a", (1, 2): "b", (5, 5): "c"})
+
+
+def test_node_order_given_changes_neither_graph_nor_partition_nor_run():
+    """A graph stores its nodes in id order, so chinese_whispers, which visits
+    them in a seeded permutation of that order, and the run loop see the same
+    graph however its nodes were listed."""
+    agents = make_agents(generate_cmaes_style(40, seed=0))
+    graph = assign_channels(build_topology(TopologySpec("small_world", 40, seed=3)), agents, seed=5)
+    reversed_graph = SocialGraph(graph.nodes[::-1], graph.ties, graph.channels)
+    assert reversed_graph == graph
+    assert reversed_graph.nodes == tuple(range(40))
+    weights = weigh_ties(agents, graph, "jaccard_edges")
+    assert chinese_whispers(reversed_graph, weights, seed=1) == chinese_whispers(graph, weights, seed=1)
+    assert run_once(agents, reversed_graph, SPEC, 0) == run_once(agents, graph, SPEC, 0)
