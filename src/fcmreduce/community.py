@@ -7,8 +7,8 @@ the community pair with the largest positive gain in weighted modularity
 until no merge helps. The agglomerative scheme is the greedy heap method of
 Clauset, Newman & Moore: candidate merges wait in a max-heap with lazy
 deletion (an entry is dropped when popped if a community in it has merged
-away or its gain has changed), and the heap is rebuilt whenever it holds
-more than twice as many entries as there are ties.
+since it was pushed), and the heap is rebuilt whenever it holds more than
+twice as many entries as there are ties.
 """
 
 from __future__ import annotations
@@ -152,14 +152,16 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     by the lowest community-id pair); stop when no merge increases
     modularity. Deterministic.
 
-    The candidate pairs sit in a lazy max-heap of (-gain, a, b) with a < b,
-    so the heap order is the tie-break. Merging b into a changes only the
-    gains of a's pairs, so a's new row is pushed and older entries are left
-    in place: a popped entry is skipped when either community has merged
-    away or its gain differs from a fresh evaluation (an entry that still
-    matches is the current one). When the heap holds more than twice the
-    tie count it is rebuilt from its distinct current entries; live pairs
-    never outnumber the ties, which bounds memory.
+    The candidate pairs sit in a lazy max-heap of (-gain, a, b, stamp[a],
+    stamp[b]) with a < b, so the heap order is the tie-break; stamp[c]
+    counts the merges community c has absorbed. Merging b into a changes
+    only the gains of a's pairs, so a's stamp moves on, a's new row is
+    pushed and older entries are left in place: a popped entry is current
+    exactly when both its stamps still match (a merged-away community has
+    no stamp). Each pair is pushed once per stamp, so at most one entry per
+    pair is current. When the heap holds more than twice the tie count it
+    is rebuilt from its current entries; live pairs never outnumber the
+    ties, which bounds memory.
     """
     check_tie_weights(graph, weights)
     m = sum(weights[t].similarity for t in graph.ties)
@@ -181,18 +183,20 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     def gain(a, b):
         return between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
 
-    def current(entry):
-        neg_gain, a, b = entry
-        return a in k and b in k and -neg_gain == gain(a, b)
+    stamp: dict = {v: 0 for v in graph.nodes}
 
-    heap = [(-g, a, b) for a, b in graph.ties if (g := gain(a, b)) > 0.0]
+    def current(entry):
+        _, a, b, stamp_a, stamp_b = entry
+        return stamp.get(a) == stamp_a and stamp.get(b) == stamp_b
+
+    heap = [(-g, a, b, 0, 0) for a, b in graph.ties if (g := gain(a, b)) > 0.0]
     heapq.heapify(heap)
     compact_above = 2 * len(graph.ties)
     while heap:
         entry = heapq.heappop(heap)
         if not current(entry):
             continue
-        neg_gain, a, b = entry
+        neg_gain, a, b, _, _ = entry
         q_running += -neg_gain
         # merge b into a (a < b keeps the lowest id as the community label)
         k[a] += k[b]
@@ -205,16 +209,16 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
         between[a].pop(b, None)
         del between[b]
         del k[b]
+        del stamp[b]
+        stamp[a] += 1
         members[a] += members.pop(b)
         for other in between[a]:
             lo, hi = (a, other) if a < other else (other, a)
             g = gain(lo, hi)
             if g > 0.0:
-                heapq.heappush(heap, (-g, lo, hi))
+                heapq.heappush(heap, (-g, lo, hi, stamp[lo], stamp[hi]))
         if len(heap) > compact_above:
-            # set(): a merge that leaves a gain bit-identical (a tiny K
-            # absorbed by a large one) pushes a second current entry
-            heap = [e for e in set(heap) if current(e)]
+            heap = [e for e in heap if current(e)]
             heapq.heapify(heap)
     for comm, nodes in members.items():
         for node in nodes:

@@ -21,7 +21,7 @@ from .errors import as_config_error, check_choice
 # fcm_to_dict defines the record export_population writes; perfbench/layers.py
 # wraps it under this module's name
 from .fcm import Fcm, fcm_from_dict, fcm_to_dict  # noqa: F401
-from .files import read_csv, read_json, write_csv, writing
+from .files import json_errors, read_csv, read_text, write_csv, writing
 from .seeding import int_seed, rng_for
 
 
@@ -334,16 +334,41 @@ def _record_template(concepts: tuple, active: bytes, edges: bytes) -> tuple:
     return template, order
 
 
-def _population_records(path) -> list:
-    records = read_json(path, "population")
-    if not isinstance(records, list) or not records:
-        raise ConfigError(f"population file {path} must hold a non-empty JSON array")
-    return records
+_DECODE = json.JSONDecoder().raw_decode
+_SKIP = json.decoder.WHITESPACE.match
+
+
+def _population_records(path):
+    """Yield the records of a population file one at a time, so no caller
+    holds the whole decoded tree. The file's text is read once and its
+    top-level array walked: each record is decoded where it stands and the
+    whitespace between records skipped as json does, so exactly the files
+    json.load accepts are accepted. Text that does not open a non-empty
+    array is classified by json.loads: not JSON, or not such an array."""
+    text = read_text(path, "population")
+    with json_errors(path, "population"):
+        start = _SKIP(text).end()
+        at = _SKIP(text, start + 1).end()
+        if not text.startswith("[", start) or text.startswith("]", at):
+            json.loads(text)
+            raise ConfigError(f"population file {path} must hold a non-empty JSON array")
+        while True:
+            record, at = _DECODE(text, at)
+            yield record
+            at = _SKIP(text, at).end()
+            if text.startswith("]", at):
+                break
+            if not text.startswith(",", at):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+            at = _SKIP(text, at + 1).end()
+        end = _SKIP(text, at + 1).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
 
 
 def population_size(path) -> int:
     """The number of maps in a population file, without building any."""
-    return len(_population_records(path))
+    return sum(1 for _ in _population_records(path))
 
 
 def import_population(path) -> list[Fcm]:

@@ -413,12 +413,13 @@ def weigh_ties(
     cfg = config or MetricConfig()
     by_id = agents_by_id(agents, graph.nodes)
     features = {} if features is None else features
+    seeded = metric == "tsp"  # the one measure whose feature reads its seed
 
     def feature_of(agent_id):
         if agent_id not in features:
             # seeded by agent id, not by evaluation order, so tie weighting
             # stays schedule-independent
-            seed = int_seed(cfg.seed, "tsp", agent_id)
+            seed = int_seed(cfg.seed, "tsp", agent_id) if seeded else 0
             features[agent_id] = feature(by_id[agent_id].fcm, cfg, seed)
         return features[agent_id]
 
