@@ -8,8 +8,10 @@ its FCM to stabilization; the higher agent is unchanged. The run's output
 is the population mean of a designated concept after the final round.
 
 Run i draws its own RNG stream from (master_seed, "run", i), so the original
-and reduced models share per-run seeds, and run_distribution makes its runs
-one after another in this process. The run loop keeps one activation array
+and reduced models share per-run seeds, and no run's sample depends on the
+runs made before it. run_distribution therefore splits its runs over up to
+min(workers, repeats, CPUs) processes, forked from this one, and its
+samples never depend on workers. The run loop keeps one activation array
 per agent and settles it with fcm.settle() on the agent's own Fcm.weights,
 the kernel and the weights simulate() uses, so run_once equals the slow
 interact()-based run_once_reference bit for bit.
@@ -17,6 +19,8 @@ interact()-based run_once_reference bit for bit.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -163,12 +167,100 @@ def run_once_reference(agents: list[Agent], graph: SocialGraph, spec: RunSpec, r
 def run_distribution(
     agents: list[Agent], graph: SocialGraph, spec: RunSpec, workers: int = 1
 ) -> OutputDistribution:
-    """spec.repeats independent runs, executed in index order in this
-    process; run i uses the RNG stream derived from (master_seed, "run", i).
-    workers is accepted and ignored."""
+    """spec.repeats independent runs; run i uses the RNG stream derived from
+    (master_seed, "run", i), and the samples are in run-index order.
+
+    With workers > 1 the runs are split over w = min(workers, repeats,
+    os.cpu_count()) processes: run i is made in block i mod w, this process
+    makes block 0 and a child forked from it each other block. The samples
+    never depend on workers, and a run that raises reaches the caller as
+    the error a serial run raises. Without os.fork the runs are serial."""
+    workers = check_integer("workers", workers, ConfigError, 1)
     model = _ModelArrays(agents, graph, spec)
     seeds = [seed_sequence(spec.master_seed, "run", i) for i in range(spec.repeats)]
-    return OutputDistribution(np.array([model.run(s) for s in seeds]))
+    w = min(workers, spec.repeats, os.cpu_count() or 1)
+    if w > 1 and hasattr(os, "fork"):
+        samples = _forked_samples(model, seeds, w)
+    else:
+        samples = [model.run(s) for s in seeds]
+    return OutputDistribution(np.array(samples))
+
+
+def _block(model: _ModelArrays, seeds: list, b: int, w: int) -> tuple:
+    """Runs b, b + w, ... in order: (None, samples), or (i, error) at the
+    first run i that raises."""
+    samples = []
+    for i in range(b, len(seeds), w):
+        try:
+            samples.append(model.run(seeds[i]))
+        except Exception as exc:
+            return i, exc
+    return None, samples
+
+
+def _send_block(model: _ModelArrays, seeds: list, b: int, w: int, write_end: int) -> None:
+    """In a forked child: make block b and pickle its result to write_end."""
+    result = _block(model, seeds, b, w)
+    try:
+        data = pickle.dumps(result)
+        pickle.loads(data)
+    except Exception:  # an error that does not survive pickling goes by its text
+        i, exc = result
+        data = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    with open(write_end, "wb") as pipe:
+        pipe.write(data)
+
+
+def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
+    """Every run's sample in run-index order, block b made by a child forked
+    for it (b >= 1) or by this process (b = 0). A child sends its block
+    through its own pipe and leaves with os._exit, so it never runs the
+    caller's clean-up or flushes the buffers it inherited. Every child is
+    reaped before this returns or raises."""
+    children = []  # (pid, read end of its pipe), one per block 1..w-1
+    done = False
+    try:
+        for b in range(1, w):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    _send_block(model, seeds, b, w, write_end)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # closed before the next fork, so only child b holds this write
+            # end and its read end sees EOF once child b is done
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        blocks = [_block(model, seeds, 0, w)]
+        for b, (_, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            blocks.append(pickle.loads(data) if data else (b, ChildProcessError(
+                f"the process making runs {b}, {b + w}, ... ended without a result")))
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:  # the caller is leaving early: its children need not finish
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [block for block in blocks if block[0] is not None]
+    if failures:
+        raise min(failures, key=lambda block: block[0])[1]
+    samples = [0.0] * len(seeds)
+    for b, (_, block_samples) in enumerate(blocks):
+        samples[b::w] = block_samples
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,9 @@ FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved configuration for one pipeline execution. workers is
-    accepted and recorded in report.json, but ignored: runs are serial."""
+    """Resolved configuration for one pipeline execution. workers is the
+    number of processes a distribution's runs may be split over (at most
+    repeats and the CPU count); the samples never depend on it."""
 
     source: str = "cmaes-style"
     count: int = 100
@@ -296,7 +297,7 @@ def stage_reduce(
 def stage_simulate(
     cfg: PipelineConfig, agents: list[Agent], graph: SocialGraph
 ) -> OutputDistribution:
-    return run_distribution(agents, graph, cfg.run_spec())
+    return run_distribution(agents, graph, cfg.run_spec(), workers=cfg.workers)
 
 
 def stage_compare(

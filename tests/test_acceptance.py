@@ -240,6 +240,7 @@ def fidelity_grid():
     cfg = PipelineConfig(
         source="cmaes-style", count=FIDELITY_AGENTS, topology="small_world",
         algorithm="chinese_whispers", repeats=100, rounds=10, seed=42,
+        workers=2,  # samples do not depend on workers (criterion 8); runs on up to 2 CPUs
     )
     agents = stage_population(cfg)
     graph = stage_topology(cfg, agents)

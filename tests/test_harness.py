@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fcmreduce.errors import ConfigError, ContractError
 from fcmreduce.fcm import Fcm, SimulationSettings, simulate
 from fcmreduce.harness import (
     OutputDistribution,
+    _ModelArrays,
     RunSpec,
     export_distribution,
     import_distribution,
@@ -254,6 +257,140 @@ class TestRunDistribution:
         agents, graph = self.make_model()
         spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=9, master_seed=2)
         assert len(run_distribution(agents, graph, spec).samples) == 9
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """os.fork, wrapped to append each fork's parent-side pid to the list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def fail_runs(monkeypatch, failing, error=lambda i: ConfigError(f"run {i} failed")):
+    """_ModelArrays.run raising error(i) for each run index i in failing."""
+    run = _ModelArrays.run
+
+    def patched(model, seed):
+        i = seed.entropy[-1]  # seed_sequence(master_seed, "run", i)
+        if i in failing:
+            raise error(i)
+        return run(model, seed)
+
+    monkeypatch.setattr(_ModelArrays, "run", patched)
+
+
+class TestForkedWorkers:
+    """workers > 1 forks min(workers, repeats, CPUs) - 1 children; this
+    process makes runs 0, w, 2w, ... and child b runs b, b + w, ..."""
+
+    make_model = TestRunDistribution.make_model
+
+    @pytest.mark.parametrize("repeats", [1, 3, 10])
+    def test_samples_bit_identical_for_workers_one_to_four(self, monkeypatch, repeats):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=2, repeats=repeats, master_seed=5)
+        serial = run_distribution(agents, graph, spec)
+        # as many CPUs as workers, so that blocks of 3 and 4 are made on any
+        # host; the model takes milliseconds a run
+        forks = count_forks(monkeypatch)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            before = len(forks)
+            dist = run_distribution(agents, graph, spec, workers=workers)
+            assert len(forks) - before == min(workers, repeats) - 1
+            assert np.array_equal(dist.samples, serial.samples), workers
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1, 3, 5}, {0, 2, 4}, {3, 4}, {2, 5}])
+    def test_run_error_reaches_caller_as_in_a_serial_run(self, monkeypatch, failing):
+        # odd runs are the child's block, even runs this process's; with
+        # {3, 4} and {2, 5} both blocks fail and the serial run stops at
+        # the lower index
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=6, master_seed=5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forks = count_forks(monkeypatch)
+        fail_runs(monkeypatch, failing)
+        for workers in (1, 2):
+            with pytest.raises(ConfigError) as caught:
+                run_distribution(agents, graph, spec, workers=workers)
+            assert str(caught.value) == f"run {min(failing)} failed"
+            assert_no_child_left()
+        assert len(forks) == 1
+
+    def test_error_that_cannot_be_pickled_keeps_its_text(self, monkeypatch):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fail_runs(monkeypatch, {1}, lambda i: LocalError(f"run {i} failed"))
+        with pytest.raises(RuntimeError, match=r"^LocalError: run 1 failed$"):
+            run_distribution(agents, graph, spec, workers=2)
+        assert_no_child_left()
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run = _ModelArrays.run
+        monkeypatch.setattr(
+            _ModelArrays, "run", lambda model, seed: os._exit(3) if seed.entropy[-1] % 2 else run(model, seed))
+        # an OSError, so the CLI exits with 2 and a message, not a traceback
+        with pytest.raises(ChildProcessError, match="runs 1, 3, ... ended without a result"):
+            run_distribution(agents, graph, spec, workers=2)
+        assert_no_child_left()
+
+    def test_caller_leaving_early_ends_its_children(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def run(model, seed):
+            if seed.entropy[-1] % 2:
+                time.sleep(60)  # the child's block
+            raise Interrupt
+
+        monkeypatch.setattr(_ModelArrays, "run", run)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            run_distribution(agents, graph, spec, workers=2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_processes_capped_at_cpu_count(self, monkeypatch):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=8, master_seed=5)
+        serial = run_distribution(agents, graph, spec)
+        forks = count_forks(monkeypatch)
+        for cpus, forked in ((1, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            dist = run_distribution(agents, graph, spec, workers=64)
+            assert len(forks) == forked
+            assert np.array_equal(dist.samples, serial.samples)
+
+    def test_workers_must_be_a_positive_integer(self):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=2)
+        for workers in (0, -1, 1.5, True):
+            with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+                run_distribution(agents, graph, spec, workers=workers)
 
 
 class TestSpecValidation:

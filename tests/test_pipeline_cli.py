@@ -238,7 +238,7 @@ def run_fresh(script: str) -> str:
 
 class TestStartUp:
     """networkx costs about half of a process's start-up, so only the two
-    centralities that need it import it."""
+    centralities that need it import it; forked runs need no process pool."""
 
     def test_default_run_never_imports_networkx(self, tmp_path):
         script = (
@@ -253,6 +253,21 @@ class TestStartUp:
             "print(loaded)\n"
         )
         assert run_fresh(script).strip() == "[False, False, False]"
+
+    def test_forked_runs_import_no_process_pool(self, tmp_path):
+        # multiprocessing and concurrent.futures cost start-up time and
+        # memory, and their pools start threads
+        script = (
+            "import sys\n"
+            "import fcmreduce\n"
+            "from fcmreduce.pipeline import config_from_dict, run_pipeline\n"
+            "pools = ('multiprocessing', 'concurrent.futures')\n"
+            "loaded = [any(m in sys.modules for m in pools)]\n"
+            f"run_pipeline(config_from_dict({dict(SMOKE, workers=2)!r}), out_dir={str(tmp_path)!r})\n"
+            "loaded.append(any(m in sys.modules for m in pools))\n"
+            "print(loaded)\n"
+        )
+        assert run_fresh(script).strip() == "[False, False]"
 
     @pytest.mark.parametrize("centrality, digest", [
         ("betweenness", "730478a75c94d57e9772d680b42d1d39a1b35f33fa8186854ae950857c03771d"),
