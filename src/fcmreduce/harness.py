@@ -10,11 +10,12 @@ is the population mean of a designated concept after the final round.
 Run i draws its own RNG stream from (master_seed, "run", i), so the original
 and reduced models share per-run seeds, and no run's sample depends on the
 runs made before it. run_distribution therefore splits its runs over up to
-min(workers, repeats, CPUs) processes, forked from this one, and its
-samples never depend on workers. The run loop keeps one activation array
-per agent and settles it with fcm.settle() on the agent's own Fcm.weights,
-the kernel and the weights simulate() uses, so run_once equals the slow
-interact()-based run_once_reference bit for bit.
+min(workers, repeats, CPUs) processes forked from this one, as many as
+the runs' tie visits pay for, and its samples never depend on workers. The
+run loop keeps one activation array per agent and settles it with
+fcm.settle() on the agent's own Fcm.weights, the kernel and the weights
+simulate() uses, so run_once equals the slow interact()-based
+run_once_reference bit for bit.
 """
 
 from __future__ import annotations
@@ -170,27 +171,41 @@ def run_distribution(
     """spec.repeats independent runs; run i uses the RNG stream derived from
     (master_seed, "run", i), and the samples are in run-index order.
 
-    With workers > 1 the runs are split over w = min(workers, repeats,
-    os.cpu_count()) processes: run i is made in block i mod w, this process
-    makes block 0 and a child forked from it each other block. The samples
-    never depend on workers, and a run that raises reaches the caller as
-    the error a serial run raises. Without os.fork the runs are serial."""
+    workers caps the processes the runs are split over: w = min(workers,
+    repeats, usable CPUs, blocks of at least _MIN_BLOCK_VISITS tie
+    visits). Run i is made in block i mod w, this process makes block 0 and
+    a child forked from it each other block. The samples never depend on
+    workers, and a run that raises reaches the caller as the error a serial
+    run raises. Without os.fork the runs are serial."""
     workers = check_integer("workers", workers, ConfigError, 1)
     model = _ModelArrays(agents, graph, spec)
     seeds = [seed_sequence(spec.master_seed, "run", i) for i in range(spec.repeats)]
-    w = min(workers, spec.repeats, os.cpu_count() or 1)
-    if w > 1 and hasattr(os, "fork"):
-        samples = _forked_samples(model, seeds, w)
-    else:
-        samples = [model.run(s) for s in seeds]
-    return OutputDistribution(np.array(samples))
+    w = _process_count(workers, spec.repeats, spec.rounds * len(model.ties))
+    return OutputDistribution(np.array(_forked_samples(model, seeds, w)))
 
 
-def _block(model: _ModelArrays, seeds: list, b: int, w: int) -> tuple:
-    """Runs b, b + w, ... in order: (None, samples), or (i, error) at the
-    first run i that raises."""
+# A forked child costs its caller about 3 ms (fork, pipe, reaping) in the
+# 36 MB process of a 200-agent run on a 2-CPU x86-64 host, and 7 ms at
+# 235 MB. A tie visit took 7-18 us on the benchmark's 13- and 15-concept
+# maps there, so a block of this many visits (about 20 ms) is worth a child
+_MIN_BLOCK_VISITS = 2000
+
+
+def _process_count(workers: int, repeats: int, run_visits: int) -> int:
+    """Processes for repeats runs of run_visits tie visits each: at most
+    workers, repeats and the CPUs this process may run on, and few enough
+    that each block holds _MIN_BLOCK_VISITS visits."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, repeats, cpus, repeats * run_visits // _MIN_BLOCK_VISITS))
+
+
+def _block(model: _ModelArrays, seeds: list, runs: range) -> tuple:
+    """The given runs in order: (None, samples), or (i, error) at the first
+    run i that raises."""
     samples = []
-    for i in range(b, len(seeds), w):
+    for i in runs:
         try:
             samples.append(model.run(seeds[i]))
         except Exception as exc:
@@ -198,25 +213,13 @@ def _block(model: _ModelArrays, seeds: list, b: int, w: int) -> tuple:
     return None, samples
 
 
-def _send_block(model: _ModelArrays, seeds: list, b: int, w: int, write_end: int) -> None:
-    """In a forked child: make block b and pickle its result to write_end."""
-    result = _block(model, seeds, b, w)
-    try:
-        data = pickle.dumps(result)
-        pickle.loads(data)
-    except Exception:  # an error that does not survive pickling goes by its text
-        i, exc = result
-        data = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    with open(write_end, "wb") as pipe:
-        pipe.write(data)
-
-
 def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
-    """Every run's sample in run-index order, block b made by a child forked
-    for it (b >= 1) or by this process (b = 0). A child sends its block
-    through its own pipe and leaves with os._exit, so it never runs the
-    caller's clean-up or flushes the buffers it inherited. Every child is
-    reaped before this returns or raises."""
+    """Every run's sample in run-index order: block b (runs b, b + w, ...)
+    is made by a child forked for it (b >= 1) or by this process (b = 0).
+    A child sends its block through its own pipe and leaves with os._exit,
+    so it never runs the caller's clean-up or flushes the buffers it
+    inherited. Every child is reaped before this returns or raises."""
+    n = len(seeds)
     children = []  # (pid, read end of its pipe), one per block 1..w-1
     done = False
     try:
@@ -232,7 +235,8 @@ def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
                 status = 1
                 try:
                     os.close(read_end)
-                    _send_block(model, seeds, b, w, write_end)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(_block(model, seeds, range(b, n, w))))
                     status = 0
                 finally:
                     os._exit(status)
@@ -240,7 +244,7 @@ def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
             # end and its read end sees EOF once child b is done
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        blocks = [_block(model, seeds, 0, w)]
+        blocks = [_block(model, seeds, range(0, n, w))]
         for b, (_, pipe) in enumerate(children, 1):
             data = pipe.read()
             blocks.append(pickle.loads(data) if data else (b, ChildProcessError(
@@ -257,7 +261,7 @@ def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
     failures = [block for block in blocks if block[0] is not None]
     if failures:
         raise min(failures, key=lambda block: block[0])[1]
-    samples = [0.0] * len(seeds)
+    samples = [0.0] * n
     for b, (_, block_samples) in enumerate(blocks):
         samples[b::w] = block_samples
     return samples

@@ -118,9 +118,9 @@ FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved configuration for one pipeline execution. workers is the
-    number of processes a distribution's runs may be split over (at most
-    repeats and the CPU count); the samples never depend on it."""
+    """Resolved configuration for one pipeline execution. workers caps the
+    processes a distribution's runs are split over (see run_distribution);
+    the samples never depend on it."""
 
     source: str = "cmaes-style"
     count: int = 100

@@ -8,11 +8,13 @@ import time
 import numpy as np
 import pytest
 
+from fcmreduce import harness
 from fcmreduce.errors import ConfigError, ContractError
 from fcmreduce.fcm import Fcm, SimulationSettings, simulate
 from fcmreduce.harness import (
     OutputDistribution,
     _ModelArrays,
+    _process_count,
     RunSpec,
     export_distribution,
     import_distribution,
@@ -36,6 +38,13 @@ from fcmreduce.population import (
 from fcmreduce.seeding import seed_sequence
 
 SETTINGS = SimulationSettings(stabilization_concept="Awareness")
+
+
+@pytest.fixture
+def any_block_forks(monkeypatch):
+    """A child for every block: the test models' runs are far smaller than
+    the block a fork pays for."""
+    monkeypatch.setattr(harness, "_MIN_BLOCK_VISITS", 1)
 
 
 def zero_weight_agent(agent_id, value, label="Out"):
@@ -199,6 +208,7 @@ class TestRunOnce:
             assert str(caught.value) == message
 
 
+@pytest.mark.usefixtures("any_block_forks")
 class TestRunDistribution:
     def make_model(self, n=12, seed=7):
         agents = make_agents(generate_cmaes_style(n, seed=seed))
@@ -278,22 +288,29 @@ def count_forks(monkeypatch) -> list:
     return forks
 
 
-def fail_runs(monkeypatch, failing, error=lambda i: ConfigError(f"run {i} failed")):
-    """_ModelArrays.run raising error(i) for each run index i in failing."""
+def set_cpus(monkeypatch, n):
+    """This process may run on n CPUs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def fail_runs(monkeypatch, failing):
+    """_ModelArrays.run raising ConfigError for each run index in failing."""
     run = _ModelArrays.run
 
     def patched(model, seed):
         i = seed.entropy[-1]  # seed_sequence(master_seed, "run", i)
         if i in failing:
-            raise error(i)
+            raise ConfigError(f"run {i} failed")
         return run(model, seed)
 
     monkeypatch.setattr(_ModelArrays, "run", patched)
 
 
+@pytest.mark.usefixtures("any_block_forks")
 class TestForkedWorkers:
-    """workers > 1 forks min(workers, repeats, CPUs) - 1 children; this
-    process makes runs 0, w, 2w, ... and child b runs b, b + w, ..."""
+    """workers > 1 forks up to min(workers, repeats, CPUs) - 1 children;
+    this process makes runs 0, w, 2w, ... and child b runs b, b + w, ..."""
 
     make_model = TestRunDistribution.make_model
 
@@ -303,15 +320,29 @@ class TestForkedWorkers:
         spec = RunSpec("Awareness", SETTINGS, rounds=2, repeats=repeats, master_seed=5)
         serial = run_distribution(agents, graph, spec)
         # as many CPUs as workers, so that blocks of 3 and 4 are made on any
-        # host; the model takes milliseconds a run
+        # host
         forks = count_forks(monkeypatch)
         for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            set_cpus(monkeypatch, workers)
             before = len(forks)
             dist = run_distribution(agents, graph, spec, workers=workers)
             assert len(forks) - before == min(workers, repeats) - 1
             assert np.array_equal(dist.samples, serial.samples), workers
             assert_no_child_left()
+
+    def test_this_process_makes_its_own_block_once(self, monkeypatch):
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=7, master_seed=5)
+        set_cpus(monkeypatch, 3)
+        made, run = [], _ModelArrays.run
+
+        def recorded(model, seed):
+            made.append(seed.entropy[-1])  # a child's list is its own copy
+            return run(model, seed)
+
+        monkeypatch.setattr(_ModelArrays, "run", recorded)
+        run_distribution(agents, graph, spec, workers=3)
+        assert made == [0, 3, 6]
 
     @pytest.mark.parametrize("failing", [{1, 3, 5}, {0, 2, 4}, {3, 4}, {2, 5}])
     def test_run_error_reaches_caller_as_in_a_serial_run(self, monkeypatch, failing):
@@ -320,7 +351,7 @@ class TestForkedWorkers:
         # the lower index
         agents, graph = self.make_model()
         spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=6, master_seed=5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         fail_runs(monkeypatch, failing)
         for workers in (1, 2):
@@ -330,22 +361,10 @@ class TestForkedWorkers:
             assert_no_child_left()
         assert len(forks) == 1
 
-    def test_error_that_cannot_be_pickled_keeps_its_text(self, monkeypatch):
-        class LocalError(Exception):  # a local class cannot be pickled
-            pass
-
-        agents, graph = self.make_model()
-        spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        fail_runs(monkeypatch, {1}, lambda i: LocalError(f"run {i} failed"))
-        with pytest.raises(RuntimeError, match=r"^LocalError: run 1 failed$"):
-            run_distribution(agents, graph, spec, workers=2)
-        assert_no_child_left()
-
     def test_child_that_dies_is_an_error(self, monkeypatch):
         agents, graph = self.make_model()
         spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         run = _ModelArrays.run
         monkeypatch.setattr(
             _ModelArrays, "run", lambda model, seed: os._exit(3) if seed.entropy[-1] % 2 else run(model, seed))
@@ -360,7 +379,7 @@ class TestForkedWorkers:
 
         agents, graph = self.make_model()
         spec = RunSpec("Awareness", SETTINGS, rounds=1, repeats=4, master_seed=5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
 
         def run(model, seed):
             if seed.entropy[-1] % 2:
@@ -380,7 +399,7 @@ class TestForkedWorkers:
         serial = run_distribution(agents, graph, spec)
         forks = count_forks(monkeypatch)
         for cpus, forked in ((1, 0), (2, 1)):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            set_cpus(monkeypatch, cpus)
             dist = run_distribution(agents, graph, spec, workers=64)
             assert len(forks) == forked
             assert np.array_equal(dist.samples, serial.samples)
@@ -391,6 +410,57 @@ class TestForkedWorkers:
         for workers in (0, -1, 1.5, True):
             with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
                 run_distribution(agents, graph, spec, workers=workers)
+
+
+class TestProcessCount:
+    """The processes a distribution's runs are split over: workers is a
+    cap, and each block must hold _MIN_BLOCK_VISITS tie visits."""
+
+    make_model = TestRunDistribution.make_model
+
+    def test_each_block_holds_the_minimum_of_visits(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        block = harness._MIN_BLOCK_VISITS
+        assert _process_count(4, 8, block // 16) == 1  # 8 runs make half a block
+        assert _process_count(4, 8, block // 8) == 1
+        assert _process_count(4, 8, block // 4) == 2
+        assert _process_count(4, 8, block) == 4
+        assert _process_count(2, 8, block) == 2
+        assert _process_count(8, 3, block) == 3
+        assert _process_count(4, 8, 0) == 1  # a graph without ties
+
+    def test_cpus_are_those_this_process_may_run_on(self, monkeypatch):
+        # os.cpu_count() counts the host's CPUs, not the ones taskset or a
+        # container's CPU set leave this process
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        visits = harness._MIN_BLOCK_VISITS
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert _process_count(8, 8, visits) == 1
+        else:
+            assert _process_count(8, 8, visits) == 8
+
+    def test_without_fork_runs_are_serial(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(harness, "_MIN_BLOCK_VISITS", 1)
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=2, repeats=6, master_seed=5)
+        serial = run_distribution(agents, graph, spec)
+        monkeypatch.delattr(os, "fork")
+        assert _process_count(4, 8, 1) == 1
+        assert np.array_equal(run_distribution(agents, graph, spec, workers=4).samples, serial.samples)
+
+    def test_small_model_forks_nothing(self, monkeypatch):
+        # 10 runs of 2 rounds over a 12-agent model's 24 ties: a fork would
+        # cost more than the runs it takes over
+        set_cpus(monkeypatch, 4)
+        agents, graph = self.make_model()
+        spec = RunSpec("Awareness", SETTINGS, rounds=2, repeats=10, master_seed=5)
+        assert spec.repeats * spec.rounds * len(graph.ties) < harness._MIN_BLOCK_VISITS
+        serial = run_distribution(agents, graph, spec)
+        forks = count_forks(monkeypatch)
+        assert np.array_equal(run_distribution(agents, graph, spec, workers=4).samples, serial.samples)
+        assert forks == []
 
 
 class TestSpecValidation:

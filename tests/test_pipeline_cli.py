@@ -256,18 +256,23 @@ class TestStartUp:
 
     def test_forked_runs_import_no_process_pool(self, tmp_path):
         # multiprocessing and concurrent.futures cost start-up time and
-        # memory, and their pools start threads
+        # memory, and their pools start threads. SMOKE's runs are below the
+        # block a fork pays for, so the cut-off is lowered to make them fork
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "import fcmreduce\n"
+            "from fcmreduce import harness\n"
             "from fcmreduce.pipeline import config_from_dict, run_pipeline\n"
             "pools = ('multiprocessing', 'concurrent.futures')\n"
             "loaded = [any(m in sys.modules for m in pools)]\n"
+            "harness._MIN_BLOCK_VISITS = 1\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
             f"run_pipeline(config_from_dict({dict(SMOKE, workers=2)!r}), out_dir={str(tmp_path)!r})\n"
             "loaded.append(any(m in sys.modules for m in pools))\n"
-            "print(loaded)\n"
+            "print(loaded, len(forks) > 0)\n"
         )
-        assert run_fresh(script).strip() == "[False, False]"
+        assert run_fresh(script).strip() == "[False, False] True"
 
     @pytest.mark.parametrize("centrality, digest", [
         ("betweenness", "730478a75c94d57e9772d680b42d1d39a1b35f33fa8186854ae950857c03771d"),
