@@ -5,16 +5,19 @@ every node repeatedly adopts the class dominating its neighborhood (summed
 by similarity weight), and a deterministic agglomerative scheme that merges
 the community pair with the largest positive gain in weighted modularity
 until no merge helps. The agglomerative scheme is the greedy heap method of
-Clauset, Newman & Moore: candidate merges wait in a max-heap with lazy
-deletion (an entry is dropped when popped if a community in it has merged
-since it was pushed), and the heap is rebuilt whenever it holds more than
-twice as many entries as there are ties.
+Clauset, Newman & Moore: candidate merges wait in a max-heap keyed on
+upper bounds of their gains. A merge pushes only the pairs whose tie
+weight it changed; the top entry's gain is evaluated afresh, and the entry
+is merged on if its key is exact, re-keyed if not, and dropped if a
+community in it has merged away. The heap is rebuilt whenever it holds
+more than twice as many entries as there are ties.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from sys import float_info
 
 from .errors import ConfigError, ContractError, as_config_error, check_integer
 from .files import read_csv, write_csv
@@ -152,22 +155,39 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     by the lowest community-id pair); stop when no merge increases
     modularity. Deterministic.
 
-    The candidate pairs sit in a lazy max-heap of (-gain, a, b, stamp[a],
-    stamp[b]) with a < b, so the heap order is the tie-break; stamp[c]
-    counts the merges community c has absorbed. Merging b into a changes
-    only the gains of a's pairs, so a's stamp moves on, a's new row is
-    pushed and older entries are left in place: a popped entry is current
-    exactly when both its stamps still match (a merged-away community has
-    no stamp). Each pair is pushed once per stamp, so at most one entry per
-    pair is current. When the heap holds more than twice the tie count it
-    is rebuilt from its current entries; live pairs never outnumber the
-    ties, which bounds memory.
+    The candidate pairs sit in a max-heap of (-key, a, b) with a < b, so
+    the heap order is the tie-break. Invariant: each live pair with a
+    positive gain has an entry whose key is at least its gain. Merging b
+    into a changes the summed tie weight only of a's pairs with b's former
+    neighbours (it grows, or the pair is new), so only those are pushed.
+    a's other pairs keep their tie weight while K_a = K_a + K_b grows:
+    similarities are >= 0, and rounded sums, products and differences are
+    monotone, so their gains can only fall and their keys stay upper
+    bounds. Pairs without a do not change.
+
+    The top entry is dropped when a community in it has merged away;
+    otherwise its gain is evaluated afresh. If the gain equals the key,
+    every other pair gains at most that and every lower pair less, so the
+    pair is the one a full rescan would pick and it merges; else the entry
+    is re-keyed on its gain, or dropped if that gain is not positive. When
+    the heap holds more than twice the tie count it is rebuilt from the
+    live pairs' gains, one entry each; live pairs never outnumber the ties,
+    which bounds memory.
+
+    Raises ContractError when the summed similarity m is so small that
+    2*m*m is not a normal float (every tie's dissimilarity about 700 or
+    more), since the gains would divide by zero.
     """
     check_tie_weights(graph, weights)
     m = sum(weights[t].similarity for t in graph.ties)
     labels = {v: v for v in graph.nodes}
     if m == 0.0:
         return Partition(_densify(labels))
+    if 2.0 * m * m < float_info.min:
+        raise ContractError(
+            f"total tie similarity m = {m!r} is too small for modularity: "
+            "2*m*m is below the smallest normal float"
+        )
     # community state: weighted degree K, and inter-community weights
     k: dict = {v: 0.0 for v in graph.nodes}
     between: dict = {v: {} for v in graph.nodes}
@@ -183,42 +203,51 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     def gain(a, b):
         return between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
 
-    stamp: dict = {v: 0 for v in graph.nodes}
-
-    def current(entry):
-        _, a, b, stamp_a, stamp_b = entry
-        return stamp.get(a) == stamp_a and stamp.get(b) == stamp_b
-
-    heap = [(-g, a, b, 0, 0) for a, b in graph.ties if (g := gain(a, b)) > 0.0]
+    heap = [(-g, a, b) for a, b in graph.ties if (g := gain(a, b)) > 0.0]
     heapq.heapify(heap)
     compact_above = 2 * len(graph.ties)
     while heap:
-        entry = heapq.heappop(heap)
-        if not current(entry):
+        neg_key, a, b = heap[0]
+        row = between.get(a)
+        g = gain(a, b) if row is not None and b in row else 0.0
+        if g != -neg_key:
+            # a community merged away (g = 0.0 < every key), or a stale key
+            if g > 0.0:
+                heapq.heapreplace(heap, (-g, a, b))
+            else:
+                heapq.heappop(heap)
             continue
-        neg_gain, a, b, _, _ = entry
-        q_running += -neg_gain
+        q_running += g
         # merge b into a (a < b keeps the lowest id as the community label)
+        absorbed = between.pop(b)
+        del absorbed[a]
+        del row[b]
         k[a] += k[b]
-        for other, s in between[b].items():
-            if other == a:
-                continue
-            between[a][other] = between[a].get(other, 0.0) + s
+        for other, s in absorbed.items():
+            row[other] = row.get(other, 0.0) + s
             between[other][a] = between[other].get(a, 0.0) + s
             del between[other][b]
-        between[a].pop(b, None)
-        del between[b]
         del k[b]
-        del stamp[b]
-        stamp[a] += 1
         members[a] += members.pop(b)
-        for other in between[a]:
-            lo, hi = (a, other) if a < other else (other, a)
-            g = gain(lo, hi)
-            if g > 0.0:
-                heapq.heappush(heap, (-g, lo, hi, stamp[lo], stamp[hi]))
+        fresh = [
+            (-g, a, other) if a < other else (-g, other, a)
+            for other in absorbed
+            if (g := gain(a, other)) > 0.0
+        ]
+        # the merged pair's entry, still on top, gives its slot to a fresh one
+        if fresh:
+            heapq.heapreplace(heap, fresh.pop())
+        else:
+            heapq.heappop(heap)
+        for entry in fresh:
+            heapq.heappush(heap, entry)
         if len(heap) > compact_above:
-            heap = [e for e in heap if current(e)]
+            heap = [
+                (-g, lo, hi)
+                for lo in between
+                for hi in between[lo]
+                if lo < hi and (g := gain(lo, hi)) > 0.0
+            ]
             heapq.heapify(heap)
     for comm, nodes in members.items():
         for node in nodes:

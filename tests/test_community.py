@@ -124,6 +124,29 @@ def scan_agglomerative(graph, weights):
     return _densify(labels)
 
 
+def star(n, hub):
+    """A star on n nodes around hub whose leaves' similarities rise with
+    their ids, so that the highest leaf merges first."""
+    ties = tuple((min(v, hub), max(v, hub)) for v in range(n) if v != hub)
+    weights = {t: TieWeight(1.0 - (sum(t) - hub) / n) for t in ties}
+    return SocialGraph(tuple(range(n)), ties), weights
+
+
+def counted(monkeypatch, name):
+    """A list that grows by one at each call of heapq.<name> in community."""
+    import fcmreduce.community as community
+
+    calls = []
+    real = getattr(community.heapq, name)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(community.heapq, name, counting)
+    return calls
+
+
 @st.composite
 def agglomeration_cases(draw):
     """Small graphs with isolated nodes, components split at a drawn node id
@@ -300,7 +323,8 @@ class TestAgglomerative:
         [("scale_free", False), ("small_world", False), ("scale_free", True)],
     )
     def test_heap_matches_scan_oracle_on_larger_graphs(self, kind, uniform):
-        # 300 nodes: enough merges for the heap to be rebuilt at least once
+        # 300 nodes: 284 to 294 merges, none of which rebuilds the heap
+        # (test_heap_rebuilt_when_absorbed_rows_pile_up covers rebuilds)
         if kind == "scale_free":
             g = nx.barabasi_albert_graph(300, 5, seed=7)
         else:
@@ -312,6 +336,78 @@ class TestAgglomerative:
         weights = {t: TieWeight(float(d)) for t, d in zip(ties, ds)}
         assert agglomerative_modularity(graph, weights).assignment == scan_agglomerative(
             graph, weights
+        )
+
+    def test_pushes_only_the_absorbed_row(self, monkeypatch):
+        # pushing the merged community's whole row took 11435 pushes here;
+        # a merge's first fresh entry and a re-keyed one take the top's slot
+        g = nx.barabasi_albert_graph(300, 5, seed=7)
+        ties = sorted((min(e), max(e)) for e in g.edges())
+        graph = SocialGraph(tuple(g.nodes), tuple(ties))
+        weights = {t: TieWeight(0.5) for t in ties}
+        pushes = counted(monkeypatch, "heappush")
+        replaces = counted(monkeypatch, "heapreplace")
+        p = agglomerative_modularity(graph, weights)
+        monkeypatch.undo()
+        assert 0 < len(pushes) <= len(ties)
+        assert len(pushes) + len(replaces) <= 2 * len(ties)
+        assert p.assignment == scan_agglomerative(graph, weights)
+
+    @pytest.mark.parametrize("hub", [29, 0])
+    def test_star_matches_scan_oracle(self, hub):
+        # hub 29 is absorbed by leaf 28, and every later merge absorbs the
+        # community that holds the hub's row; hub 0 absorbs one leaf a merge
+        graph, weights = star(30, hub)
+        assert agglomerative_modularity(graph, weights).assignment == scan_agglomerative(
+            graph, weights
+        )
+
+    def test_heap_rebuilt_when_absorbed_rows_pile_up(self, monkeypatch):
+        # each merge pushes the hub's row again; the entries of the row before
+        # it are left behind below the top until the heap is rebuilt. The
+        # dyads' entries are pushed only once, so a rebuild must keep them
+        star_graph, weights = star(60, 59)
+        dyads = tuple((60 + 2 * i, 61 + 2 * i) for i in range(10))
+        graph = SocialGraph(tuple(range(80)), star_graph.ties + dyads)
+        weights.update({t: TieWeight(3.0) for t in dyads})
+        heapifies = counted(monkeypatch, "heapify")
+        p = agglomerative_modularity(graph, weights)
+        monkeypatch.undo()
+        assert len(heapifies) > 1
+        assert p.count == 11
+        assert p.assignment == scan_agglomerative(graph, weights)
+
+    @pytest.mark.parametrize(
+        "ties, groups",
+        [
+            # merging 3 into 1 lifts (1, 2) from -0.065 to 0.064: the pair
+            # had no entry, so only a push lets the last two merges happen
+            ({(0, 1): 1.0, (0, 2): 3.0, (0, 3): 2.0, (1, 2): 3.0, (1, 3): 0.5, (2, 3): 1.0},
+             [{0, 1, 2, 3}]),
+            # merging 5 into 4 lifts (0, 4) from 0.0055 to 0.0349, past
+            # (0, 1) at 0.0109: a stale key would merge (0, 1) first
+            ({(0, 2): 1.0, (0, 3): 0.5, (0, 5): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0,
+              (3, 5): 2.0, (4, 5): 1.0},
+             [{0, 3, 4, 5}, {1, 2}]),
+        ],
+    )
+    def test_merge_raising_a_shared_neighbours_gain(self, ties, groups):
+        graph = SocialGraph(tuple(range(1 + max(map(max, ties)))), tuple(sorted(ties)))
+        weights = {t: TieWeight(d) for t, d in ties.items()}
+        p = agglomerative_modularity(graph, weights)
+        assert sorted(map(set, p.members().values()), key=min) == groups
+        assert p.assignment == scan_agglomerative(graph, weights)
+
+    def test_similarities_too_small_for_modularity_raise_contract_error(self):
+        # exp(-700) is about 1e-304, so 2*m*m underflows to zero
+        graph, _ = two_cliques(3)
+        tiny = {t: TieWeight(700.0) for t in graph.ties}
+        with pytest.raises(ContractError, match=r"m = [0-9.e-]+ is too small"):
+            agglomerative_modularity(graph, tiny)
+        # at exp(-350), 2*m*m is still a normal float
+        small = {t: TieWeight(350.0 + i) for i, t in enumerate(graph.ties)}
+        assert agglomerative_modularity(graph, small).assignment == scan_agglomerative(
+            graph, small
         )
 
     def test_heap_stays_bounded_when_merges_leave_gains_unchanged(self, monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -819,6 +820,26 @@ class TestCliErrors:
             csv.writer(fh).writerows(rows)
         assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 1
         assert "similarity is not exp(-dissimilarity)" in capsys.readouterr().err
+        assert not (staged / "partition.csv").exists()
+
+    def test_cluster_on_similarities_too_small_for_modularity_exits_2(self, tmp_path, capsys):
+        # exp(-700) is about 1e-304, so 2*m*m underflows to zero
+        config_path = write_config(tmp_path, {"count": 12, "algorithm": "agglomerative"})
+        staged = tmp_path / "staged"
+        for stage in ("generate", "weigh"):
+            assert main([stage, "--config", config_path, "--out", str(staged)]) == 0
+        capsys.readouterr()
+        ties = staged / "ties.csv"
+        with open(ties, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[3:] = ["700.0", repr(math.exp(-700.0))]
+        with open(ties, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: total tie similarity m = ")
+        assert err.count("\n") == 1
         assert not (staged / "partition.csv").exists()
 
 
