@@ -174,9 +174,10 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     live pairs' gains, one entry each; live pairs never outnumber the ties,
     which bounds memory.
 
-    Raises ContractError when the summed similarity m is so small that
-    2*m*m is not a normal float (every tie's dissimilarity about 700 or
-    more), since the gains would divide by zero.
+    Raises ContractError when the summed similarity m is below about
+    1e-154, so that 2*m*m is not a normal float (every tie's
+    dissimilarity above about 355 + ln(tie count)): the gains would lose
+    their precision, and once m*m underflows to zero they divide by zero.
     """
     check_tie_weights(graph, weights)
     m = sum(weights[t].similarity for t in graph.ties)
