@@ -42,13 +42,14 @@ def summarize(dist: OutputDistribution) -> dict:
     """mean, sample std (n-1 denominator; 0 for a single sample), min,
     quartiles by linear interpolation, max."""
     s = dist.samples
+    p25, p50, p75 = np.percentile(s, (25, 50, 75)).tolist()
     return {
         "mean": float(s.mean()),
         "std": float(s.std(ddof=1)) if len(s) > 1 else 0.0,
         "min": float(s.min()),
-        "p25": float(np.percentile(s, 25)),
-        "p50": float(np.percentile(s, 50)),
-        "p75": float(np.percentile(s, 75)),
+        "p25": p25,
+        "p50": p50,
+        "p75": p75,
         "max": float(s.max()),
     }
 

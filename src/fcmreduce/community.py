@@ -85,6 +85,24 @@ def check_assignment(graph: SocialGraph, assignment: dict) -> None:
     check_keys(assignment, graph.nodes, "communities", "nodes")
 
 
+def _tie_table(graph: SocialGraph, weights: dict) -> tuple:
+    """After check_tie_weights: m, the total tie similarity; each node's
+    weighted degree; and node -> {neighbour: similarity} rows, neighbours in
+    increasing id (graph.ties is sorted)."""
+    check_tie_weights(graph, weights)
+    m = 0.0
+    degree = dict.fromkeys(graph.nodes, 0.0)
+    rows: dict = {v: {} for v in graph.nodes}
+    for i, j in graph.ties:
+        s = weights[(i, j)].similarity
+        m += s
+        degree[i] += s
+        degree[j] += s
+        rows[i][j] = s
+        rows[j][i] = s
+    return m, degree, rows
+
+
 def chinese_whispers(
     graph: SocialGraph, weights: dict, max_rounds: int = 50, seed: int = 0
 ) -> Partition:
@@ -92,14 +110,9 @@ def chinese_whispers(
     seeded random order each round, adopt the class with the largest summed
     similarity among their neighbors (ties broken by a seeded uniform pick).
     Stops after a round with no change, or after max_rounds."""
-    check_tie_weights(graph, weights)
+    _, _, nbrs = _tie_table(graph, weights)
     max_rounds = check_integer("max_rounds", max_rounds, ConfigError, 1)
     rng = rng_for(seed, "chinese-whispers")
-    nbrs: dict = {v: [] for v in graph.nodes}
-    for i, j in graph.ties:
-        sim = weights[(i, j)].similarity
-        nbrs[i].append((j, sim))
-        nbrs[j].append((i, sim))
     labels = {v: v for v in graph.nodes}
     converged = False
     rounds_used = 0
@@ -110,7 +123,7 @@ def chinese_whispers(
             if not nbrs[v]:
                 continue
             scores: dict = {}
-            for u, sim in nbrs[v]:
+            for u, sim in nbrs[v].items():
                 scores[labels[u]] = scores.get(labels[u], 0.0) + sim
             best = max(scores.values())
             candidates = sorted(lab for lab, s in scores.items() if s == best)
@@ -130,17 +143,18 @@ def weighted_modularity(graph: SocialGraph, weights: dict, assignment: dict) -> 
     the intra-community weight, and K_c the summed weighted degree."""
     check_tie_weights(graph, weights)
     check_assignment(graph, assignment)
-    m = sum(weights[t].similarity for t in graph.ties)
-    if m == 0.0:
-        return 0.0
+    m = 0.0
     w_in: dict = {}
     k: dict = {}
     for i, j in graph.ties:
         s = weights[(i, j)].similarity
+        m += s
         k[assignment[i]] = k.get(assignment[i], 0.0) + s
         k[assignment[j]] = k.get(assignment[j], 0.0) + s
         if assignment[i] == assignment[j]:
             w_in[assignment[i]] = w_in.get(assignment[i], 0.0) + s
+    if m == 0.0:
+        return 0.0
     q = 0.0
     for c in set(assignment.values()):
         q += w_in.get(c, 0.0) / m - (k.get(c, 0.0) / (2.0 * m)) ** 2
@@ -179,27 +193,18 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
     dissimilarity above about 355 + ln(tie count)): the gains would lose
     their precision, and once m*m underflows to zero they divide by zero.
     """
-    check_tie_weights(graph, weights)
-    m = sum(weights[t].similarity for t in graph.ties)
-    labels = {v: v for v in graph.nodes}
+    # community state: weighted degree K, and inter-community weights
+    m, k, between = _tie_table(graph, weights)
     if m == 0.0:
-        return Partition(_densify(labels))
+        return Partition(_densify({v: v for v in graph.nodes}))
     if 2.0 * m * m < float_info.min:
         raise ContractError(
             f"total tie similarity m = {m!r} is too small for modularity: "
             "2*m*m is below the smallest normal float"
         )
-    # community state: weighted degree K, and inter-community weights
-    k: dict = {v: 0.0 for v in graph.nodes}
-    between: dict = {v: {} for v in graph.nodes}
-    for i, j in graph.ties:
-        s = weights[(i, j)].similarity
-        k[i] += s
-        k[j] += s
-        between[i][j] = between[i].get(j, 0.0) + s
-        between[j][i] = between[j].get(i, 0.0) + s
     members: dict = {v: [v] for v in graph.nodes}
-    q_running = weighted_modularity(graph, weights, labels)
+    # the singletons' modularity: no tie lies inside a community
+    q_running = -sum((kv / (2.0 * m)) ** 2 for kv in k.values())
 
     def gain(a, b):
         return between[a][b] / m - k[a] * k[b] / (2.0 * m * m)
@@ -250,17 +255,19 @@ def agglomerative_modularity(graph: SocialGraph, weights: dict) -> Partition:
                 if lo < hi and (g := gain(lo, hi)) > 0.0
             ]
             heapq.heapify(heap)
-    for comm, nodes in members.items():
-        for node in nodes:
-            labels[node] = comm
+    # a community keeps its lowest member's id, so sorted ids are _densify's order
+    assignment = dict.fromkeys(graph.nodes)
+    for comm, label in enumerate(sorted(members)):
+        for node in members[label]:
+            assignment[node] = comm
     # each accepted merge had strictly positive gain, so modularity is
     # non-decreasing; the accumulated gains must match a fresh evaluation
-    q_final = weighted_modularity(graph, weights, labels)
+    q_final = weighted_modularity(graph, weights, assignment)
     if not abs(q_running - q_final) < 1e-9:
         raise ContractError(
             f"accumulated modularity {q_running!r} drifted from its evaluation {q_final!r}"
         )
-    return Partition(_densify(labels))
+    return Partition(assignment)
 
 
 def partition_stats(p: Partition) -> CommunityStats:

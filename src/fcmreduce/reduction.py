@@ -50,10 +50,10 @@ def contract(
 
     The reduced tie set is the image of the original ties under the
     community map (self-pairs dropped, duplicates collapsed). A reduced
-    tie's channel is taken from the lowest-(i, j) original crossing tie
-    whose label exists in both representatives' FCMs; if no crossing tie
-    qualifies, a channel is re-drawn uniformly from the representatives'
-    label intersection and the redraw is recorded in the provenance.
+    tie's channel is that of the lowest crossing tie whose channel both
+    representatives hold, else a redraw in community-pair order: a uniform
+    pick from the representatives' shared concepts, recorded in the
+    provenance.
     """
     graph_channels = graph.assigned_channels()
     check_assignment(graph, partition.assignment)
@@ -62,35 +62,27 @@ def contract(
         raise ContractError(f"reps must map each of the {partition.count} communities to one of its members")
     rep_ids = sorted(reps.values())
     by_id = agents_by_id(agents, rep_ids)
-    crossing: dict = {}
-    for i, j in graph.ties:
-        ca, cb = comm_of[i], comm_of[j]
-        if ca == cb:
-            continue
-        key = (ca, cb) if ca < cb else (cb, ca)
-        crossing.setdefault(key, []).append((i, j))
+    held = {comm: set(by_id[rep].fcm.concepts) for comm, rep in reps.items()}
+    # crossing community pair -> the first usable channel in graph.ties
+    # order (lowest (i, j) first), None while no crossing tie qualifies
+    usable: dict = {}
+    for tie in graph.ties:
+        ca, cb = sorted((comm_of[tie[0]], comm_of[tie[1]]))
+        if ca != cb and usable.get((ca, cb)) is None:
+            label = graph_channels[tie]
+            usable[(ca, cb)] = label if label in held[ca] and label in held[cb] else None
     rng = rng_for(seed, "contract")
-    ties = []
     channels = {}
     redrawn = {}
-    for (ca, cb), originals in sorted(crossing.items()):
+    for (ca, cb), label in sorted(usable.items()):
         ra, rb = reps[ca], reps[cb]
         tie = (ra, rb) if ra < rb else (rb, ra)
-        concepts_a = set(by_id[ra].fcm.concepts)
-        concepts_b = set(by_id[rb].fcm.concepts)
-        label = None
-        for orig in originals:  # graph.ties order: lowest (i, j) first
-            cand = graph_channels[orig]
-            if cand in concepts_a and cand in concepts_b:
-                label = cand
-                break
         if label is None:
             label = draw_channel(by_id[ra], by_id[rb], rng,
                                  "representatives {} and {} share no concept for the reduced tie")
             redrawn[f"{tie[0]},{tie[1]}"] = label
-        ties.append(tie)
         channels[tie] = label
-    reduced_graph = SocialGraph(rep_ids, ties, channels)
+    reduced_graph = SocialGraph(rep_ids, tuple(channels), channels)
     provenance = {
         "communities": {
             str(comm): {"representative": reps[comm], "members": members}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcmreduce.community as community
 from fcmreduce.community import (
     CommunityStats,
     Partition,
@@ -20,6 +21,7 @@ from fcmreduce.community import (
 )
 from fcmreduce.errors import ConfigError, ContractError
 from fcmreduce.population import SocialGraph
+from fcmreduce.seeding import rng_for
 from fcmreduce.similarity import TieWeight
 
 
@@ -132,19 +134,52 @@ def star(n, hub):
     return SocialGraph(tuple(range(n)), ties), weights
 
 
-def counted(monkeypatch, name):
-    """A list that grows by one at each call of heapq.<name> in community."""
-    import fcmreduce.community as community
-
+def counted(monkeypatch, owner, name):
+    """A list that grows by one at each call of owner.<name>."""
     calls = []
-    real = getattr(community.heapq, name)
+    real = getattr(owner, name)
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(community.heapq, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def list_chinese_whispers(graph, weights, max_rounds, seed):
+    """Reference Chinese Whispers on per-node neighbour lists built in
+    graph.ties order. The detector must give the same assignment,
+    convergence flag and round count: the same float sums and the same
+    seeded draws."""
+    rng = rng_for(seed, "chinese-whispers")
+    nbrs = {v: [] for v in graph.nodes}
+    for i, j in graph.ties:
+        sim = weights[(i, j)].similarity
+        nbrs[i].append((j, sim))
+        nbrs[j].append((i, sim))
+    labels = {v: v for v in graph.nodes}
+    converged = False
+    rounds_used = 0
+    for _ in range(max_rounds):
+        rounds_used += 1
+        changed = False
+        for v in [graph.nodes[p] for p in rng.permutation(graph.n).tolist()]:
+            if not nbrs[v]:
+                continue
+            scores = {}
+            for u, sim in nbrs[v]:
+                scores[labels[u]] = scores.get(labels[u], 0.0) + sim
+            best = max(scores.values())
+            candidates = sorted(lab for lab, s in scores.items() if s == best)
+            pick = candidates[0] if len(candidates) == 1 else candidates[int(rng.integers(len(candidates)))]
+            if pick != labels[v]:
+                labels[v] = pick
+                changed = True
+        if not changed:
+            converged = True
+            break
+    return _densify(labels), converged, rounds_used
 
 
 @st.composite
@@ -234,6 +269,17 @@ class TestChineseWhispers:
         graph, weights = two_cliques(3)
         with pytest.raises(ConfigError, match=rf"^max_rounds must be an integer >= 1, got {re.escape(repr(bad))}$"):
             chinese_whispers(graph, weights, max_rounds=bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(agglomeration_cases(), st.integers(1, 5), st.integers(0, 1000))
+    def test_matches_list_oracle(self, case, max_rounds, seed):
+        # isolated nodes, one shared similarity (so the seeded pick breaks
+        # ties) and arbitrary similarities, cut short or run to convergence
+        graph, weights = case
+        p = chinese_whispers(graph, weights, max_rounds=max_rounds, seed=seed)
+        assert (p.assignment, p.converged, p.rounds_used) == list_chinese_whispers(
+            graph, weights, max_rounds, seed
+        )
 
     def test_partition_invariants_on_random_graphs(self, rng):
         for trial in range(10):
@@ -345,8 +391,8 @@ class TestAgglomerative:
         ties = sorted((min(e), max(e)) for e in g.edges())
         graph = SocialGraph(tuple(g.nodes), tuple(ties))
         weights = {t: TieWeight(0.5) for t in ties}
-        pushes = counted(monkeypatch, "heappush")
-        replaces = counted(monkeypatch, "heapreplace")
+        pushes = counted(monkeypatch, community.heapq, "heappush")
+        replaces = counted(monkeypatch, community.heapq, "heapreplace")
         p = agglomerative_modularity(graph, weights)
         monkeypatch.undo()
         assert 0 < len(pushes) <= len(ties)
@@ -370,7 +416,7 @@ class TestAgglomerative:
         dyads = tuple((60 + 2 * i, 61 + 2 * i) for i in range(10))
         graph = SocialGraph(tuple(range(80)), star_graph.ties + dyads)
         weights.update({t: TieWeight(3.0) for t in dyads})
-        heapifies = counted(monkeypatch, "heapify")
+        heapifies = counted(monkeypatch, community.heapq, "heapify")
         p = agglomerative_modularity(graph, weights)
         monkeypatch.undo()
         assert len(heapifies) > 1
@@ -437,6 +483,14 @@ class TestAgglomerative:
         assert p.assignment == scan_agglomerative(graph, weights)
         # at most twice the ties before a rebuild, plus one merged row
         assert 0 < longest <= 2 * len(ties) + n
+
+    def test_evaluates_modularity_once(self, monkeypatch):
+        # the singletons' modularity comes from the degrees; only the drift
+        # check evaluates the final partition
+        graph, weights = two_cliques(4, bridge_sim=0.3)
+        calls = counted(monkeypatch, community, "weighted_modularity")
+        agglomerative_modularity(graph, weights)
+        assert len(calls) == 1
 
     def test_modularity_drift_raises_contract_error(self, monkeypatch):
         # an explicit check, not an assert, so it also holds under python -O

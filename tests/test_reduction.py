@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from fcmreduce.community import Partition
+from fcmreduce.community import Partition, chinese_whispers
 from fcmreduce.errors import ChannelError, ContractError
 from fcmreduce.fcm import Fcm
 from fcmreduce.population import (
     Agent,
     SocialGraph,
     TopologySpec,
+    agents_by_id,
     assign_channels,
     build_topology,
+    draw_channel,
     generate_cmaes_style,
     make_agents,
 )
 from fcmreduce.reduction import contract, select_representatives
+from fcmreduce.seeding import rng_for
+from fcmreduce.similarity import TieWeight
 
 
 def agent_with_activation_sum(agent_id, total, n=4, labels=None):
@@ -75,7 +79,91 @@ def wired_model(n=10, seed=3):
     return agents, graph
 
 
+def per_pair_contract(agents, graph, partition, reps, seed):
+    """Reference contraction: each crossing community pair's original ties
+    in a list, scanned for the first channel both representatives hold,
+    else a redraw, pairs in sorted order. Returns (ties, channels,
+    redrawn) or the ChannelError text."""
+    comm_of = partition.assignment
+    by_id = agents_by_id(agents, sorted(reps.values()))
+    crossing = {}
+    for i, j in graph.ties:
+        ca, cb = comm_of[i], comm_of[j]
+        if ca != cb:
+            crossing.setdefault((min(ca, cb), max(ca, cb)), []).append((i, j))
+    rng = rng_for(seed, "contract")
+    channels, redrawn = {}, {}
+    for (ca, cb), originals in sorted(crossing.items()):
+        ra, rb = reps[ca], reps[cb]
+        tie = (min(ra, rb), max(ra, rb))
+        shared = set(by_id[ra].fcm.concepts) & set(by_id[rb].fcm.concepts)
+        label = next((graph.channels[o] for o in originals if graph.channels[o] in shared), None)
+        if label is None:
+            try:
+                label = draw_channel(by_id[ra], by_id[rb], rng,
+                                     "representatives {} and {} share no concept for the reduced tie")
+            except ChannelError as exc:
+                return str(exc)
+            redrawn[f"{tie[0]},{tie[1]}"] = label
+        channels[tie] = label
+    return tuple(sorted(channels)), channels, redrawn
+
+
+def subset_model(rng, n):
+    """n agents, each holding 2 to 5 of six concepts, on a random graph
+    whose ties join agents that share a concept; channels drawn as
+    assign_channels draws them."""
+    pool = np.array([f"K{c}" for c in range(6)])
+    agents = []
+    for v in range(n):
+        size = int(rng.integers(2, 6))
+        labels = tuple(sorted(rng.choice(pool, size, replace=False)))
+        agents.append(Agent(v, Fcm(labels, np.zeros((size, size)), rng.uniform(0.0, 1.0, size))))
+    ties = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3 and set(agents[i].fcm.concepts) & set(agents[j].fcm.concepts)
+    )
+    return agents, assign_channels(SocialGraph(tuple(range(n)), ties), agents, seed=int(rng.integers(1000)))
+
+
 class TestContract:
+    def test_matches_per_pair_oracle_on_concept_subsets(self):
+        # agents hold different concept subsets, so a pair's first crossing
+        # ties often fail to qualify, channels get redrawn, and some pairs
+        # of representatives share nothing; half the models take a random
+        # member, not the median, as representative
+        rng = np.random.default_rng(2024)
+        seen = {"redrawn": 0, "error": 0, "not_median": 0}
+        for trial in range(150):
+            agents, graph = subset_model(rng, int(rng.integers(4, 30)))
+            weights = {t: TieWeight(float(rng.uniform(0.0, 2.0))) for t in graph.ties}
+            partition = chinese_whispers(graph, weights, max_rounds=int(rng.integers(1, 4)), seed=trial)
+            reps = select_representatives(agents, partition)
+            if trial % 2:
+                members = partition.members()
+                reps = {c: ms[int(rng.integers(len(ms)))] for c, ms in members.items()}
+                seen["not_median"] += reps != select_representatives(agents, partition)
+            expected = per_pair_contract(agents, graph, partition, reps, seed=trial)
+            if isinstance(expected, str):
+                seen["error"] += 1
+                with pytest.raises(ChannelError) as info:
+                    contract(agents, graph, partition, reps, seed=trial)
+                assert str(info.value) == expected
+                continue
+            model = contract(agents, graph, partition, reps, seed=trial)
+            ties, channels, redrawn = expected
+            assert model.graph.ties == ties
+            assert model.graph.channels == channels
+            assert model.provenance["redrawn_channels"] == redrawn
+            assert model.provenance["communities"] == {
+                str(c): {"representative": reps[c], "members": ms}
+                for c, ms in partition.members().items()
+            }
+            seen["redrawn"] += bool(redrawn)
+        assert min(seen.values()) >= 10, seen
+
     def test_one_community(self):
         agents, graph = wired_model(8)
         partition = Partition({i: 0 for i in range(8)})
