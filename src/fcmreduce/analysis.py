@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .community import CommunityStats
-from .errors import ReportError
+from .errors import ReportError, check_integer
 from .files import write_csv
 from .harness import OutputDistribution
 from .similarity import kl_from_samples
@@ -28,7 +28,8 @@ def output_kl(
 ) -> float:
     """D(simplified || original) over `bins` shared histogram bins spanning
     the pooled sample range, with additive smoothing alpha. A degenerate
-    zero-width pooled range yields 0."""
+    zero-width pooled range yields 0. ReportError unless bins is an integer >= 1."""
+    bins = check_integer("bins", bins, ReportError, 1)
     s = simplified.samples
     o = original.samples
     lo = min(s.min(), o.min())

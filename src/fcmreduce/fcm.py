@@ -162,10 +162,15 @@ def _checked_activation(activation, n: int) -> np.ndarray:
     a = np.array(activation, dtype=np.float64)
     if a.shape != (n,):
         raise ContractError(f"activation length {a.shape} does not match {n} concepts")
+    return check_unit_interval(a, "activation values")
+
+
+def check_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
+    """values, held to the one rule of node values and run outputs: all in [0, 1]."""
     # NaN fails both comparisons, so it is rejected with the out-of-range
-    if not np.all((a >= 0.0) & (a <= 1.0)):
-        raise ContractError("activation values must lie in [0, 1]")
-    return a
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ContractError(f"{what} must be finite and lie in [0, 1]")
+    return values
 
 
 def step(fcm: Fcm, activation, settings: SimulationSettings) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, as_config_error, check_integer
-from .fcm import SimulationSettings, settle, simulate
+from .fcm import SimulationSettings, check_unit_interval, settle, simulate
 from .files import read_csv, write_csv, write_json
 from .population import Agent, SocialGraph, agents_by_id, channel_index
 from .seeding import seed_sequence
@@ -58,10 +58,7 @@ class OutputDistribution:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or len(s) == 0:
             raise ContractError("a distribution needs at least one sample")
-        # NaN fails both comparisons, so it is rejected with the out-of-range
-        if not np.all((s >= 0.0) & (s <= 1.0)):
-            raise ContractError("output samples must be finite and lie in [0, 1]")
-        self.samples = s
+        self.samples = check_unit_interval(s, "output samples")
 
 
 def interact(a: Agent, b: Agent, channel: str, settings: SimulationSettings):

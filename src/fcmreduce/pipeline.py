@@ -54,6 +54,7 @@ from .population import (
     build_obesity_fcm,
     build_topology,
     channel_index,
+    check_jitter,
     export_population,
     export_topology,
     generate_cmaes_style,
@@ -182,8 +183,7 @@ class PipelineConfig:
         check_choice("topology", self.topology, TOPOLOGY_KINDS, ConfigError)
         check_choice("metric", self.metric, METRIC_KINDS, ConfigError)
         check_choice("community algorithm", self.algorithm, COMMUNITY_ALGORITHMS, ConfigError)
-        if self.jitter < 0:
-            raise ConfigError("jitter must be >= 0")
+        check_jitter(self.jitter)
         for name in ("workers", "max_rounds", "kl_bins"):
             check_integer(name, getattr(self, name), ConfigError, 1)
         if not self.kl_alpha > 0:

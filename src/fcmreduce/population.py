@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from sys import float_info
 
 import numpy as np
 
@@ -37,6 +38,11 @@ def agent_id(value, name: str = "agent id") -> int:
     """value as a plain int id; ContractError unless it is an integer >= 0."""
     fast = type(value) is int and value >= 0  # one call per node and tie end
     return value if fast else check_integer(name, value, ContractError, 0)
+
+
+def tie_key(i: int, j: int) -> tuple[int, int]:
+    """The one key of the undirected tie between i and j: lower id first."""
+    return (i, j) if i < j else (j, i)
 
 
 def agents_by_id(agents: list[Agent], ids) -> dict:
@@ -83,10 +89,10 @@ class SocialGraph:
     nodes are agent ids, stored in increasing order: plain non-negative ints,
     any other id a ContractError (dense 0..n-1 for generated populations;
     reduced models keep the surviving representatives' original ids). ties
-    are undirected (i, j) pairs with i < j, stored in increasing order.
-    channels maps each tie to the one concept both endpoint agents observe
-    during an interaction; it is None until assign_channels has run, and
-    assigned_channels() guards every reader.
+    are undirected, stored by tie_key in increasing order. channels maps
+    each tie, keyed once in either orientation, to the one concept both
+    agents observe during an interaction; it is None until assign_channels
+    has run, and assigned_channels() guards every reader.
     """
 
     nodes: tuple[int, ...]
@@ -100,11 +106,9 @@ class SocialGraph:
             raise ContractError("duplicate node ids in social graph")
         ties = []
         for i, j in self.ties:
-            i, j = agent_id(i), agent_id(j)
+            i, j = tie_key(agent_id(i), agent_id(j))
             if i == j:
                 raise ContractError(f"self-tie at node {i}")
-            if i > j:
-                i, j = j, i
             if i not in node_set or j not in node_set:
                 raise ContractError(f"tie ({i}, {j}) references an unknown node")
             ties.append((i, j))
@@ -114,8 +118,10 @@ class SocialGraph:
         if self.channels is not None:
             chans = {}
             for key, label in self.channels.items():
-                i, j = agent_id(key[0]), agent_id(key[1])
-                chans[(i, j) if i < j else (j, i)] = label
+                tie = tie_key(agent_id(key[0]), agent_id(key[1]))
+                if tie in chans:
+                    raise ContractError(f"channel given twice for tie {tie}")
+                chans[tie] = label
             check_keys(chans, self.ties, "channels", "ties")
             self.channels = chans
 
@@ -233,13 +239,19 @@ def build_obesity_fcm() -> Fcm:
     return Fcm(tuple(labels), weights, np.zeros(len(labels)))
 
 
+def check_jitter(jitter) -> None:
+    """The one rule for a variant jitter: ConfigError unless it is a number
+    >= 0 and the width of its noise interval [-jitter, jitter] is finite."""
+    if not (is_number(jitter) and 0 <= jitter <= float_info.max / 2):
+        raise ConfigError(f"jitter must be a number in [0, {float_info.max / 2!r}], got {jitter!r:.60}")
+
+
 def generate_variants(base: Fcm, count: int, jitter: float, seed: int) -> list[Fcm]:
     """count copies of base with each nonzero weight perturbed by uniform
     noise in [-jitter, +jitter], clamped to [-1, 1]. Zero entries stay zero;
     structure and activation are shared with base."""
     check_integer("variant count", count, ConfigError, 1)
-    if not (is_number(jitter) and jitter >= 0):
-        raise ConfigError("jitter must be a number >= 0")
+    check_jitter(jitter)
     rng = rng_for(seed, "variants")
     mask = base.weights != 0.0
     nnz = int(mask.sum())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .community import Partition, check_assignment
 from .errors import ConfigError, ContractError, is_integer
 from .files import read_json, write_json
-from .population import Agent, SocialGraph, agents_by_id, draw_channel
+from .population import Agent, SocialGraph, agents_by_id, draw_channel, tie_key
 from .seeding import rng_for
 
 
@@ -76,7 +76,7 @@ def contract(
     redrawn = {}
     for (ca, cb), label in sorted(usable.items()):
         ra, rb = reps[ca], reps[cb]
-        tie = (ra, rb) if ra < rb else (rb, ra)
+        tie = tie_key(ra, rb)
         if label is None:
             label = draw_channel(by_id[ra], by_id[rb], rng,
                                  "representatives {} and {} share no concept for the reduced tie")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, MetricError, as_config_error, check_choice, check_integer, is_number
 from .fcm import Fcm
 from .files import read_csv, write_csv
-from .population import Agent, SocialGraph, agents_by_id
+from .population import Agent, SocialGraph, agents_by_id, tie_key
 from .seeding import int_seed
 from .triads import triad_significance_profile
 
@@ -456,7 +456,7 @@ def import_tie_weights(path) -> tuple[dict, str]:
             weight = TieWeight(dissimilarity)
         if similarity != weight.similarity:
             raise ConfigError(f"tie ({i}, {j}) in {path}: similarity is not exp(-dissimilarity)")
-        tie = (i, j) if i < j else (j, i)
+        tie = tie_key(i, j)
         if tie in weights:
             raise ConfigError(f"tie {tie} listed twice in {path}")
         weights[tie] = weight

@@ -94,6 +94,16 @@ class TestOutputKl:
         b = OutputDistribution(np.full(50, 0.9) + np.linspace(0, 0.01, 50))
         assert output_kl(a, b) > 1.0
 
+    # bins 0 and -1 used to give KL 0.0 for any pair, and 2.5 a bare TypeError
+    @pytest.mark.parametrize("bins", [0, -1, 2.5, True])
+    def test_bins_must_be_an_integer_at_least_1(self, bins):
+        a = OutputDistribution(np.array([0.1, 0.2, 0.3]))
+        b = OutputDistribution(np.array([0.7, 0.8, 0.9]))
+        with pytest.raises(ReportError, match="bins must be an integer >= 1"):
+            output_kl(a, b, bins=bins)
+        with pytest.raises(ReportError, match="bins"):
+            build_report(b, a, 0, CommunityStats(3, 1.0, 1, 1), {}, bins=bins)
+
 
 def example_report():
     original = OutputDistribution(np.linspace(0.4, 0.6, 50))

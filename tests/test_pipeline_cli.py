@@ -93,6 +93,7 @@ BAD_CONFIGS = [
     {"kl_alpha": 0}, {"kl_bins": 0}, {"max_rounds": 0}, {"workers": 0},
     {"self_memory": "no"}, {"seed": "abc"},
     {"source": "obesity-variants", "jitter": -1},
+    {"source": "obesity-variants", "jitter": 8.99e307},  # 2 * jitter overflows
     {"source": "import", "stabilization_concept": "Awareness"},  # no output_concept
     {"topology": "scale_free", "m": 1},
 ]

@@ -153,6 +153,11 @@ class TestVariants:
         # nan used to reach rng.uniform as an OverflowError
         with pytest.raises(ConfigError, match="jitter"):
             generate_variants(base, 2, float("nan"), seed=0)
+        # a jitter whose interval [-jitter, jitter] is wider than the largest
+        # float used to reach rng.uniform as an OverflowError
+        with pytest.raises(ConfigError, match="jitter"):
+            generate_variants(base, 2, 8.99e307, seed=0)
+        assert len(generate_variants(base, 2, 8.98e307, seed=0)) == 2
         with pytest.raises(ConfigError, match="must be an integer"):
             generate_variants(base, 2.5, 0.1, seed=0)
 

@@ -220,6 +220,13 @@ def test_channel_for_a_pair_that_is_no_tie_is_contract_error():
         SocialGraph((0, 1, 2), ((0, 1),), {(0, 1): "a", (1, 2): "b", (5, 5): "c"})
 
 
+def test_channel_given_under_both_orientations_is_contract_error():
+    """(0, 1) and (1, 0) key one undirected tie, so a dict naming both gives
+    it two channels; one of them used to be kept silently."""
+    with pytest.raises(ContractError, match=r"^channel given twice for tie \(0, 1\)$"):
+        SocialGraph((0, 1), ((0, 1),), {(0, 1): "A", (1, 0): "B"})
+
+
 def test_node_order_given_changes_neither_graph_nor_partition_nor_run():
     """A graph stores its nodes in id order, so chinese_whispers, which visits
     them in a seeded permutation of that order, and the run loop see the same
