@@ -21,7 +21,6 @@ run_once_reference bit for bit.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, as_config_error, check_integer
 from .fcm import SimulationSettings, check_unit_interval, settle, simulate
 from .files import read_csv, write_csv, write_json
+from .forking import forking
 from .population import Agent, SocialGraph, agents_by_id, channel_index
 from .seeding import seed_sequence
 
@@ -212,49 +212,19 @@ def _block(model: _ModelArrays, seeds: list, runs: range) -> tuple:
 
 def _forked_samples(model: _ModelArrays, seeds: list, w: int) -> list:
     """Every run's sample in run-index order: block b (runs b, b + w, ...)
-    is made by a child forked for it (b >= 1) or by this process (b = 0).
-    A child sends its block through its own pipe and leaves with os._exit,
-    so it never runs the caller's clean-up or flushes the buffers it
-    inherited. Every child is reaped before this returns or raises."""
+    is made by a child forked for it (b >= 1) or by this process (b = 0)."""
     n = len(seeds)
-    children = []  # (pid, read end of its pipe), one per block 1..w-1
-    done = False
-    try:
-        for b in range(1, w):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(pickle.dumps(_block(model, seeds, range(b, n, w))))
-                    status = 0
-                finally:
-                    os._exit(status)
-            # closed before the next fork, so only child b holds this write
-            # end and its read end sees EOF once child b is done
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
+    with forking() as fork:
+        children = [
+            fork(f"the process making runs {b}, {b + w}, ...", _block, model, seeds, range(b, n, w))
+            for b in range(1, w)
+        ]
         blocks = [_block(model, seeds, range(0, n, w))]
-        for b, (_, pipe) in enumerate(children, 1):
-            data = pipe.read()
-            blocks.append(pickle.loads(data) if data else (b, ChildProcessError(
-                f"the process making runs {b}, {b + w}, ... ended without a result")))
-        done = True
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if not done:  # the caller is leaving early: its children need not finish
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for b, child in enumerate(children, 1):
+            try:
+                blocks.append(child.result())
+            except ChildProcessError as exc:
+                blocks.append((b, exc))
     failures = [block for block in blocks if block[0] is not None]
     if failures:
         raise min(failures, key=lambda block: block[0])[1]

@@ -12,6 +12,7 @@ singleton partition therefore reproduces the original distribution exactly).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 
 from .analysis import (
@@ -36,6 +37,7 @@ from .errors import ConfigError, MetricError, as_config_error, check_choice, che
 from .errors import is_number, plain
 from .fcm import SimulationSettings
 from .files import read_json, write_csv, write_json, writing
+from .forking import forking
 from .harness import (
     OutputDistribution,
     RunSpec,
@@ -322,11 +324,11 @@ class PipelineResult:
     report: FidelityReport
 
 
-def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
+def _cells(cfg: PipelineConfig, topologies, metrics, algorithms, agents=None):
     """One PipelineResult per (topology, metric, algorithm) cell of cfg, in
     that nesting order, doing each piece of work once:
 
-    - the population once;
+    - the population once, unless the caller built it (agents);
     - each agent's feature once per metric, since no topology knob enters
       it (seed, metric config and agent id do);
     - the graph and the original distribution once per topology, and the
@@ -338,7 +340,7 @@ def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
       other channels."""
     # each topology's knobs (p, k, beta, m) are checked before any work
     top_cfgs = [replace(cfg, topology=topology) for topology in topologies]
-    agents = stage_population(cfg)
+    agents = stage_population(cfg) if agents is None else agents
     features = {metric: {} for metric in metrics}
     for top_cfg in top_cfgs:
         graph = stage_topology(top_cfg, agents)
@@ -363,22 +365,76 @@ def _cells(cfg: PipelineConfig, topologies, metrics, algorithms):
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> PipelineResult:
-    """Execute the whole pipeline; write all artifacts when out_dir is set."""
-    (result,) = _cells(cfg, (cfg.topology,), (cfg.metric,), (cfg.algorithm,))
-    if out_dir is not None:
-        write_artifacts(result, cfg, out_dir)
+    """Execute the whole pipeline; write all artifacts when out_dir is set.
+    population.json depends on the population alone, so it is written by a
+    child forked once the population exists, while this process runs the
+    other stages (see _population_writer)."""
+    cells = (cfg.topology,), (cfg.metric,), (cfg.algorithm,)
+    if out_dir is None:
+        (result,) = _cells(cfg, *cells)
+        return result
+    agents = stage_population(cfg)
+    with _population_writer(out_dir, agents) as population_written:
+        (result,) = _cells(cfg, *cells, agents)
+        write_artifacts(result, cfg, out_dir, population_written)
     return result
 
 
-def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _write_model(out_dir, result.agents, result.graph)
+def write_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir, population_written) -> None:
+    """The other 12 files, then population_written(), which waits for the
+    population.json being written and puts it in place."""
+    _write(out_dir, "topology.csv", export_topology, result.graph)
     _write(out_dir, "ties.csv", export_tie_weights, result.tie_weights, cfg.metric)
     _write(out_dir, "partition.csv", export_partition, result.partition)
     _write_reduced(out_dir, result.reduced)
     for dist, model in zip((result.original, result.simplified), MODELS):
         _write_distribution(out_dir, cfg, dist, model)
     _write_comparison(out_dir, result.original, result.simplified, result.report)
+    population_written()
+
+
+@contextmanager
+def _population_writer(out_dir, agents: list[Agent]):
+    """Write the population.json of out_dir in a child forked on entry,
+    while the with block computes. The child writes a side file. The
+    function yielded waits for it, raises its error as the write in this
+    process would, and renames the file into place. Leaving the block by an
+    error kills and reaps the child and removes the side file and the
+    directories made here, so a failed stage leaves out_dir as it was."""
+    side = os.path.join(out_dir, "population.json.part")
+    made = _missing_dirs(out_dir)
+    fcms = [a.fcm for a in agents]
+    try:
+        with forking() as fork:
+            os.makedirs(out_dir, exist_ok=True)
+            # export_population is looked up in this module when the child
+            # calls it, so a wrapper patched in here sees the call
+            child = fork("the process writing population.json",
+                         lambda: export_population(fcms, side))
+
+            def written():
+                child.result()
+                os.replace(side, os.path.join(out_dir, "population.json"))
+
+            yield written
+    except BaseException:
+        for path in (side, f"{side}.tmp"):
+            with suppress(OSError):
+                os.remove(path)
+        for path in made:
+            with suppress(OSError):  # not empty: a later write failed
+                os.rmdir(path)
+        raise
+
+
+def _missing_dirs(path) -> list:
+    """path and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 # One writer per work-directory file, shared by write_artifacts and the

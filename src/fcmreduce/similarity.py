@@ -205,13 +205,16 @@ def kl_from_counts(p_counts, q_counts, alpha: float) -> float:
     """D(P || Q) in nats after adding alpha to every bin and renormalizing.
 
     Divergence is >= 0 by Gibbs' inequality; the clamp only absorbs float
-    rounding on near-identical histograms.
+    rounding on near-identical histograms. With alpha 0, a bin empty in P
+    makes the sum NaN and one empty in Q alone makes it inf, without a numpy
+    warning: the caller decides what such a value means.
     """
     p = np.asarray(p_counts, dtype=np.float64) + alpha
     q = np.asarray(q_counts, dtype=np.float64) + alpha
     p /= p.sum()
     q /= q.sum()
-    return max(float(np.sum(p * np.log(p / q))), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return max(float(np.sum(p * np.log(p / q))), 0.0)
 
 
 def kl_from_samples(p_samples, q_samples, bin_edges, alpha: float) -> float:

@@ -126,8 +126,10 @@ class TestReport:
         assert report.kl_divergence == 0.0
         assert report.removed_count == 0
 
+    @pytest.mark.filterwarnings("error")
     def test_unsmoothed_empty_bins_rejected_not_nan(self):
-        # with alpha 0, bins empty in both distributions give 0 * log(0 / 0)
+        # with alpha 0, bins empty in both distributions give 0 * log(0 / 0),
+        # and no numpy warning escapes before the ReportError
         original = OutputDistribution(np.array([0.0, 0.0, 1.0]))
         simplified = OutputDistribution(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ReportError, match="nan"):

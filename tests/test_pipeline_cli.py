@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from fcmreduce import cli, pipeline, population, similarity
 from fcmreduce.analysis import sweep_row
 from fcmreduce.cli import main
-from fcmreduce.errors import ConfigError
+from fcmreduce.errors import ConfigError, MetricError
 from fcmreduce.pipeline import (
     FIELD_TYPES,
     PipelineConfig,
@@ -188,6 +189,134 @@ class TestPipeline:
         assert len(result.agents) == 15
 
 
+ARTIFACTS = (
+    "population.json", "topology.csv", "ties.csv", "partition.csv",
+    "reduced_population.json", "reduced_topology.csv", "provenance.json",
+    "distribution_original.csv", "distribution_reduced.csv",
+    "runspec_original.json", "runspec_reduced.json", "violin.csv", "report.json",
+)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(condition, timeout=10.0) -> bool:
+    """Whether condition() held within timeout seconds."""
+    end = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def listing(path) -> dict:
+    """name -> bytes of each file directly in path; None if path is missing."""
+    if not path.exists():
+        return None
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestPopulationWriter:
+    """run_pipeline with an out_dir writes population.json in a child forked
+    once the population exists, while this process runs the other stages."""
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_stage_leaves_out_dir_as_found(self, tmp_path, monkeypatch, existing):
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "population.json").write_text("from an earlier run")
+        before = listing(out)
+
+        def written():  # a new file in out, and not one still being written
+            new = set(os.listdir(out)) - set(before or ()) if out.exists() else set()
+            return bool(new) and not any(name.endswith(".tmp") for name in new)
+
+        seen = []
+
+        def weigh(*args, **kwargs):
+            seen.append(wait_for(written))
+            raise MetricError("weighing failed")
+
+        monkeypatch.setattr(pipeline, "stage_weigh", weigh)
+        with pytest.raises(MetricError, match="weighing failed"):
+            run_pipeline(config_from_dict(SMOKE), out_dir=str(out))
+        assert seen == [True]  # the population was written while a stage ran
+        assert listing(out) == before
+        assert (tmp_path / "made").exists() == existing
+        assert_no_child_left()
+
+    def test_interrupt_kills_the_writer(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+
+        def slow_export(fcms, path):
+            open(f"{path}.tmp", "w").close()  # a write under way
+            time.sleep(60)
+
+        def weigh(*args, **kwargs):
+            assert wait_for(lambda: any(p.suffix == ".tmp" for p in out.glob("*")))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "export_population", slow_export)
+        monkeypatch.setattr(pipeline, "stage_weigh", weigh)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config_from_dict(SMOKE), out_dir=str(out))
+        assert time.monotonic() - start < 30
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError, ConfigError])
+    def test_write_error_reaches_caller_as_in_process(self, tmp_path, monkeypatch, error):
+        def failing_export(fcms, path):  # the original population's file only
+            if os.path.basename(path).startswith("reduced_"):
+                return export_population(fcms, path)
+            raise error(f"cannot write the population in process {os.getpid()}")
+
+        monkeypatch.setattr(pipeline, "export_population", failing_export)
+        texts = {}
+        for route in ("forked", "in-process"):
+            if route == "in-process":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / route
+            with pytest.raises(error) as caught:
+                run_pipeline(config_from_dict(SMOKE), out_dir=str(out))
+            assert type(caught.value) is error
+            texts[route], pid = str(caught.value).rsplit(" ", 1)
+            assert (int(pid) == os.getpid()) == (route == "in-process")
+            assert not {"population.json", "population.json.part"} & set(os.listdir(out))
+            assert not any(p.suffix == ".tmp" for p in out.iterdir())
+            assert_no_child_left()
+        assert texts["forked"] == texts["in-process"]
+
+    def test_cli_write_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def failing_export(fcms, path):
+            if os.path.basename(path).startswith("reduced_"):
+                return export_population(fcms, path)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "export_population", failing_export)
+        config_path = write_config(tmp_path)
+        assert main(["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert_no_child_left()
+
+    def test_without_fork_files_are_byte_identical(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(SMOKE)  # workers 1: the writer is the one child
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        run_pipeline(cfg, out_dir=str(tmp_path / "forked"))
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        run_pipeline(cfg, out_dir=str(tmp_path / "in-process"))
+        forked, in_process = listing(tmp_path / "forked"), listing(tmp_path / "in-process")
+        assert sorted(forked) == sorted(ARTIFACTS)
+        assert forked == in_process
+
+
 class TestStageComposition:
     def test_stage_by_stage_equals_monolithic(self, tmp_path):
         config_path = write_config(tmp_path)
@@ -206,12 +335,7 @@ class TestStageComposition:
             )
         assert main(["compare", "--config", config_path, "--out", str(staged)]) == 0
 
-        for name in (
-            "population.json", "topology.csv", "ties.csv", "partition.csv",
-            "reduced_population.json", "reduced_topology.csv", "provenance.json",
-            "distribution_original.csv", "distribution_reduced.csv",
-            "runspec_original.json", "runspec_reduced.json", "violin.csv", "report.json",
-        ):
+        for name in ARTIFACTS:
             assert (mono / name).read_bytes() == (staged / name).read_bytes(), name
         assert sorted(os.listdir(mono)) == sorted(os.listdir(staged))
 
@@ -259,7 +383,9 @@ class TestStartUp:
     def test_forked_runs_import_no_process_pool(self, tmp_path):
         # multiprocessing and concurrent.futures cost start-up time and
         # memory, and their pools start threads. SMOKE's runs are below the
-        # block a fork pays for, so the cut-off is lowered to make them fork
+        # block a fork pays for, so the cut-off is lowered to make them fork,
+        # on two CPUs whatever the host has. The population writer forks
+        # once; the original distribution forks once more
         script = (
             "import os, sys\n"
             "import fcmreduce\n"
@@ -268,11 +394,13 @@ class TestStartUp:
             "pools = ('multiprocessing', 'concurrent.futures')\n"
             "loaded = [any(m in sys.modules for m in pools)]\n"
             "harness._MIN_BLOCK_VISITS = 1\n"
+            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
             f"run_pipeline(config_from_dict({dict(SMOKE, workers=2)!r}), out_dir={str(tmp_path)!r})\n"
             "loaded.append(any(m in sys.modules for m in pools))\n"
-            "print(loaded, len(forks) > 0)\n"
+            "print(loaded, len(forks) >= 2)\n"
         )
         assert run_fresh(script).strip() == "[False, False] True"
 
